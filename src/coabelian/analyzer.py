@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .intmatrix import IntMatrix, elementary_divisors, hstack, rank
+from .intmatrix import IntMatrix, hstack, rank
 from .lattice import (Lattice, image_lattice, kernel_lattice, lattice_index,
                       lattice_intersection, lattice_sum, preimage_lattice,
                       solve_in_basis)
@@ -245,9 +245,7 @@ def betti_kernel(h: ProductHom) -> tuple[Betti, Certificate | None]:
                           "so the five-term exact sequence in homology gives "
                           "b1(kernel) = sum of 2g_i minus the target rank",
             data={"condition": "rank-one subdirect"})
-    surjecting = [i + 1 for i, b in enumerate(h.blocks)
-                  if rank(b) == n_prime
-                  and all(x == 1 for x in elementary_divisors(b)[:n_prime])]
+    surjecting = [i + 1 for i, b in enumerate(h.blocks) if image_lattice(b).is_full]
     if len(surjecting) >= 3:
         return Betti("Value", total - n_prime), Certificate(
             claim=f"b1 = {total - n_prime}",
@@ -459,14 +457,12 @@ def three_factor_classify(h: ProductHom) -> tuple[str, Certificate]:
 @dataclass(frozen=True)
 class AnalysisReport:
     effective_rank: int
-    surjective_onto_Zn: bool
     fullness: Certificate
     subdirectness: tuple[FactorStatus, ...]
     max_deficient_size: int | None
     witnesses: tuple[DeficiencyWitness, ...]
     finiteness: Finiteness
     betti: Betti
-    coabelian_rank: int
     kahler: Kahler
     irreducibility: Irreducibility
     certificates: tuple[Certificate, ...]
@@ -508,7 +504,6 @@ class AnalysisReport:
 
 def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
     """Full report on the kernel of h, with certificates for every verdict."""
-    surjective = image_lattice(h.concatenated()).is_full
     hn, n_prime = normalize(h)
     full_cert = fullness(hn)
     sub = subdirectness(hn)
@@ -525,14 +520,12 @@ def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
         certs.append(irr_cert)
     return AnalysisReport(
         effective_rank=n_prime,
-        surjective_onto_Zn=surjective,
         fullness=full_cert,
         subdirectness=sub,
         max_deficient_size=d,
         witnesses=witnesses,
         finiteness=fin,
         betti=betti,
-        coabelian_rank=n_prime,
         kahler=kahler,
         irreducibility=irr,
         certificates=tuple(certs),

@@ -4,9 +4,12 @@ Everything in this module is pure integer arithmetic; no floating point is
 used anywhere. Matrices are immutable row-major tuples of Python ints, so
 values can be hashed, compared bit-for-bit, and shared freely.
 
-The two normal forms provided are the column Hermite normal form (with the
-unimodular column transform) and the Smith normal form (with both unimodular
-transforms). Canonical HNF makes lattice equality a plain equality test.
+One in-place row-echelon routine serves every Hermite reduction. Only
+``hermite_normal_form`` carries the unimodular transform, which only
+integer kernels need; ``hnf_basis`` (images, sums, intersections,
+preimages) and ``rank`` reduce the matrix alone. Canonical HNF makes lattice
+equality a plain equality test. The Smith normal form (with both transforms)
+is public but off the analysis path.
 """
 
 from __future__ import annotations
@@ -52,18 +55,9 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    @classmethod
-    def column_vector(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows([[int(x)] for x in entries], cols=1)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.data[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -113,50 +107,49 @@ def hstack(matrices: Sequence[IntMatrix], rows: int | None = None) -> IntMatrix:
     return IntMatrix(r, sum(m.cols for m in matrices), data)
 
 
-def _row_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form: returns (H, U) with H = U @ m, U unimodular.
+def _echelon(rows: list[list[int]], width: int) -> int:
+    """Row Hermite normal form in place, pivoting on the first ``width``
+    columns; returns the number of pivots, which is the rank of that part.
 
-    H is in row echelon form with positive pivots; the entries above each
-    pivot are reduced into [0, pivot). Zero rows sink to the bottom.
+    The pivot rows come first, with positive pivots and the entries above
+    each pivot reduced into [0, pivot); zero rows sink to the bottom. Every
+    row operation acts on whole rows, so columns past ``width`` ride along:
+    on [A | I] they record the unimodular transform.
     """
-    h = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    n = len(rows)
     pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row >= m.rows:
+    for col in range(width):
+        if pivot_row >= n:
             break
         while True:
-            nonzero = [i for i in range(pivot_row, m.rows) if h[i][col]]
+            nonzero = [i for i in range(pivot_row, n) if rows[i][col]]
             if not nonzero:
                 break
-            best = min(nonzero, key=lambda i: (abs(h[i][col]), i))
+            best = min(nonzero, key=lambda i: (abs(rows[i][col]), i))
             if best != pivot_row:
-                h[pivot_row], h[best] = h[best], h[pivot_row]
-                u[pivot_row], u[best] = u[best], u[pivot_row]
+                rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
             clean = True
-            p = h[pivot_row][col]
-            for i in range(pivot_row + 1, m.rows):
-                if h[i][col]:
-                    q = h[i][col] // p
-                    h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-                    if h[i][col]:
+            prow = rows[pivot_row]
+            p = prow[col]
+            for i in range(pivot_row + 1, n):
+                if rows[i][col]:
+                    q = rows[i][col] // p
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+                    if rows[i][col]:
                         clean = False
             if clean:
                 break
-        if pivot_row < m.rows and h[pivot_row][col]:
-            if h[pivot_row][col] < 0:
-                h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            p = h[pivot_row][col]
+        prow = rows[pivot_row]
+        if prow[col]:
+            if prow[col] < 0:
+                prow = rows[pivot_row] = [-x for x in prow]
+            p = prow[col]
             for i in range(pivot_row):
-                q = h[i][col] // p
+                q = rows[i][col] // p
                 if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
             pivot_row += 1
-    return (IntMatrix.from_rows(h, cols=m.cols),
-            IntMatrix.from_rows(u, cols=m.rows))
+    return pivot_row
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -168,14 +161,26 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     are pushed to the right. H is the canonical representative of the column
     span of A.
     """
-    ht, ut = _row_hnf(a.transpose())
-    return ht.transpose(), ut.transpose()
+    n, c = a.rows, a.cols
+    rows = [[row[j] for row in a.data] + [1 if i == j else 0 for i in range(c)]
+            for j in range(c)]
+    _echelon(rows, n)
+    return (IntMatrix(n, c, tuple(tuple(row[i] for row in rows) for i in range(n))),
+            IntMatrix(c, c, tuple(tuple(row[n + i] for row in rows) for i in range(c))))
+
+
+def hnf_basis(a: IntMatrix) -> IntMatrix:
+    """The nonzero columns of the column Hermite normal form of A, computed
+    without the transform: the canonical basis of the column span of A."""
+    rows = [[row[j] for row in a.data] for j in range(a.cols)]
+    k = _echelon(rows, a.rows)
+    return IntMatrix(a.rows, k, tuple(tuple(row[i] for row in rows[:k])
+                                      for i in range(a.rows)))
 
 
 def rank(a: IntMatrix) -> int:
     """Rank of A over the rationals, by exact integer row reduction."""
-    h, _ = _row_hnf(a)
-    return sum(1 for row in h.data if any(row))
+    return _echelon([list(row) for row in a.data], a.cols)
 
 
 def det(a: IntMatrix) -> int:
@@ -215,12 +220,6 @@ class SmithDecomposition:
     diag: tuple[int, ...]
     right: IntMatrix
     rank: int
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[self.diag[i] if i == j and i < self.rank else 0 for j in range(cols)]
-             for i in range(rows)],
-            cols=cols)
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:

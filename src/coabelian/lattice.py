@@ -1,7 +1,8 @@
 """Finitely generated subgroups of Z^n in canonical basis form.
 
 A ``Lattice`` stores its basis as the column Hermite normal form of any
-generating set, with zero columns dropped. Two lattices are equal as
+generating set, with zero columns dropped, computed without the unimodular
+transform (only ``kernel_lattice`` needs one). Two lattices are equal as
 subgroups of Z^n exactly when their stored bases are bit-identical, so
 ``==`` is the subgroup-equality test.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmatrix import IntMatrix, hermite_normal_form, hstack
+from .intmatrix import IntMatrix, hermite_normal_form, hnf_basis, hstack
 
 
 class AmbientMismatchError(ValueError):
@@ -30,9 +31,8 @@ class Lattice:
         if generators.rows != ambient_rank:
             raise AmbientMismatchError(
                 f"generators live in Z^{generators.rows}, expected Z^{ambient_rank}")
-        h, _ = hermite_normal_form(generators)
-        nonzero = [j for j in range(h.cols) if any(h.data[i][j] for i in range(h.rows))]
-        return cls(ambient_rank, h.select_columns(nonzero), len(nonzero))
+        basis = hnf_basis(generators)
+        return cls(ambient_rank, basis, basis.cols)
 
     @classmethod
     def full(cls, n: int) -> "Lattice":

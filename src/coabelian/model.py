@@ -8,8 +8,8 @@ computes.
 
 Surjectivity of a branched cover on fundamental groups is *not* derivable
 from homology data, so ``CoverData`` carries it as a user-asserted flag;
-homology-level surjectivity (trivial elementary divisors) is checked as a
-necessary condition whenever the flag is set.
+homology-level surjectivity (the block's image is all of Z^2) is checked as
+a necessary condition whenever the flag is set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .intmatrix import IntMatrix, det, elementary_divisors, hstack, rank
+from .intmatrix import IntMatrix, det, hstack, rank
+from .lattice import image_lattice
 
 _INT64_MAX = 2**63
 
@@ -118,7 +119,7 @@ class CoverData:
             raise ValueError("cover block must be 2 x 2*genus")
         if rank(self.block) != 2:
             raise ValueError("cover block must have rank 2 (finite-index homology image)")
-        if self.pi1_surjective and elementary_divisors(self.block) != (1, 1):
+        if self.pi1_surjective and not image_lattice(self.block).is_full:
             raise ValueError(
                 "pi1-surjectivity asserted but the homology image is a proper sublattice")
 
@@ -269,7 +270,22 @@ def _decode_int(x, where: str) -> int:
     try:
         return int(x)
     except ValueError:
-        raise SchemaError(f"{where}: not a decimal integer: {x!r}") from None
+        body = x.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        cause = "too many digits" if digits.isdecimal() else "not a decimal integer"
+        raise SchemaError(f"{where}: {cause}: {x[:20]!r}") from None
+
+
+def _load_json(text: str):
+    """json.loads with every decoder failure turned into a SchemaError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the interpreter's cap on the digits of an int literal
+        raise SchemaError("invalid JSON: an integer literal has too many digits") from None
 
 
 def _decode_int_list(xs, where: str) -> list[int]:
@@ -322,11 +338,7 @@ def hom_from_dict(doc: dict) -> ProductHom:
 
 
 def parse_hom(text: str) -> ProductHom:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return hom_from_dict(doc)
+    return hom_from_dict(_load_json(text))
 
 
 def family_to_dict(spec: FamilySpec) -> dict:
@@ -396,19 +408,12 @@ def family_from_dict(doc: dict) -> FamilySpec:
 
 
 def parse_family(text: str) -> FamilySpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return family_from_dict(doc)
+    return family_from_dict(_load_json(text))
 
 
 def parse_document(text: str) -> ProductHom | FamilySpec:
     """Parse either document type; family documents are recognized by 'kind'."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if isinstance(doc, dict) and "kind" in doc:
         return family_from_dict(doc)
     return hom_from_dict(doc)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from coabelian import analyzer
 from coabelian.cli import main
+from coabelian.model import SchemaError, parse_document, parse_family, parse_hom
 
 
 def run(capsys, *argv):
@@ -97,3 +99,40 @@ def test_catalog(tmp_path, capsys):
 def test_unknown_command_is_input_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_oracle_refuses_many_factors_before_analyzing(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"genera": [2] * 9, "target_rank": 1,
+                                "blocks": [[1, 0, 0, 0]] * 9}))
+
+    def must_not_run(*args):
+        raise AssertionError("analyze ran before the factor count was checked")
+
+    monkeypatch.setattr(analyzer, "analyze", must_not_run)
+    code, _, err = run(capsys, "analyze", str(path), "--oracle")
+    assert code == 1
+    assert "at most 8 factors" in err
+
+
+_DIGITS = "1" * 5000
+_HOM = '{"genera": [2], "target_rank": 1, "blocks": [[%s, 0, 0, 0]]}'
+_FAMILY = ('{"kind": "generic", "k": %s, "r": 1, "vectors": [[1]], '
+           '"covers": [{"genus": 2, "block": [1, 0, 1, 0, 0, 1, 0, 1]}]}')
+
+
+@pytest.mark.parametrize("hom, family, cause", [
+    ("[" * 200000, "[" * 200000, "nested too deeply"),
+    (_HOM % _DIGITS, _FAMILY % _DIGITS, "too many digits"),
+    (_HOM % f'"{_DIGITS}"', _FAMILY % f'"{_DIGITS}"', "too many digits"),
+], ids=["deep-nesting", "long-integer", "long-quoted-integer"])
+def test_hostile_json_is_an_input_error(tmp_path, capsys, hom, family, cause):
+    for parse, text in ((parse_hom, hom), (parse_document, hom), (parse_family, family)):
+        with pytest.raises(SchemaError, match=cause) as info:
+            parse(text)
+        assert "1" * 21 not in str(info.value) and "[" * 21 not in str(info.value)
+    path = tmp_path / "doc.json"
+    path.write_text(hom)
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert cause in err and len(err) < 200

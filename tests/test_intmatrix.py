@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coabelian import oracle
 from coabelian.intmatrix import (IntMatrix, det, elementary_divisors,
-                                 hermite_normal_form, hstack, is_unimodular,
-                                 rank, smith_normal_form)
+                                 hermite_normal_form, hnf_basis, hstack,
+                                 is_unimodular, rank, smith_normal_form)
 
 
 def M(rows):
@@ -71,6 +72,31 @@ def test_hnf_properties(rows):
     r = rank(a)
     for j in range(r, h.cols):
         assert all(h.data[i][j] == 0 for i in range(h.rows))
+
+
+def _matrix(r, c, entries):
+    return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+                    ).map(lambda rows: IntMatrix(r, c, tuple(map(tuple, rows))))
+
+
+# every shape down to 0 rows or 0 columns, entries up to 10^3, plus products
+# of thin factors so that rank deficiency is common
+any_shape = st.integers(0, 6).flatmap(
+    lambda r: st.integers(0, 7).flatmap(
+        lambda c: _matrix(r, c, st.integers(-1000, 1000))))
+low_rank = st.tuples(st.integers(0, 6), st.integers(1, 3), st.integers(0, 7)).flatmap(
+    lambda s: st.tuples(_matrix(s[0], s[1], st.integers(-30, 30)),
+                        _matrix(s[1], s[2], st.integers(-30, 30)))
+).map(lambda f: f[0] @ f[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_shape, low_rank))
+def test_transform_free_basis_and_rank(a):
+    h, _ = hermite_normal_form(a)
+    nonzero = [j for j in range(h.cols) if any(h[i, j] for i in range(h.rows))]
+    assert hnf_basis(a) == h.select_columns(nonzero)
+    assert rank(a) == oracle.rank_by_elimination(a) == len(nonzero)
 
 
 @settings(max_examples=150, deadline=None)

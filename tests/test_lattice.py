@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coabelian.intmatrix import IntMatrix
+from coabelian.intmatrix import IntMatrix, elementary_divisors, rank
 from coabelian.lattice import (AmbientMismatchError, Lattice, contains,
                                image_lattice, kernel_lattice, lattice_index,
                                lattice_intersection, lattice_sum,
@@ -83,3 +83,34 @@ def test_zero_and_full():
     assert z.rank == 0 and lattice_index(z) is None
     assert lattice_sum(z, Lattice.full(3)) == Lattice.full(3)
     assert lattice_intersection(z, Lattice.full(3)) == z
+
+
+def _finite_index_block(rng, n, c, p):
+    """Columns adjusted so that w . x = 0 (mod p) for a random w with w[0] = 1:
+    the image lies in a sublattice of index p."""
+    w = [1] + [rng.randrange(p) for _ in range(n - 1)]
+    cols = []
+    for _ in range(c):
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        x[0] -= sum(a * b for a, b in zip(w, x)) % p
+        cols.append(x)
+    return IntMatrix(n, c, tuple(tuple(x[i] for x in cols) for i in range(n)))
+
+
+def test_is_full_matches_smith_criterion():
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(300):
+        n, c = rng.randint(0, 4), rng.randint(0, 8)
+        if trial % 3 == 0 and n:
+            b = _finite_index_block(rng, n, c, rng.choice((2, 3)))
+        else:
+            e = rng.choice((1, 3, 50))
+            b = IntMatrix(n, c, tuple(tuple(rng.randint(-e, e) for _ in range(c))
+                                      for _ in range(n)))
+        full_rank = rank(b) == n
+        smith = full_rank and all(d == 1 for d in elementary_divisors(b))
+        assert image_lattice(b).is_full == smith
+        seen.add((full_rank, smith))
+    # full images, finite-index images and rank-deficient images all occur
+    assert seen == {(True, True), (True, False), (False, False)}
