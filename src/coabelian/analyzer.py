@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .intmatrix import IntMatrix, hstack, rank
-from .lattice import (Lattice, image_lattice, kernel_lattice, lattice_index,
-                      lattice_intersection, lattice_sum, preimage_lattice,
-                      solve_in_basis)
+from .lattice import (Lattice, image_lattice, lattice_index,
+                      lattice_intersection, preimage_lattice, solve_in_basis)
 from .model import DEGENERATE, FamilySpec, ProductHom, build_hom_from_family
 
 EXACT = "Exact"
@@ -314,8 +313,10 @@ def kahler_verdict(h: ProductHom, family: FamilySpec | None = None
 def splitting_search(h: ProductHom, max_factors: int = 12
                      ) -> tuple[Irreducibility, Certificate | None]:
     """Look for a bipartition of the factors across which the kernel splits
-    as a direct product: the two image sublattices must intersect trivially
-    and sum to the whole target."""
+    as a direct product. After normalization the two image sublattices
+    always sum to the whole target, and the kernel modulo the product of the
+    two restricted kernels is their intersection; so a bipartition splits
+    exactly when the two ranks add up to n'."""
     h, n_prime = normalize(h)
     r = h.num_factors
     if n_prime == 0:
@@ -329,15 +330,12 @@ def splitting_search(h: ProductHom, max_factors: int = 12
         return Irreducibility("Unknown"), None  # single factor: nothing to split
     if r > max_factors:
         return Irreducibility("Unknown"), None
-    full = Lattice.full(n_prime)
     for size in range(1, r // 2 + 1):
         for left in combinations(range(r), size):
             if 0 not in left and size == r - size:
                 continue  # avoid enumerating each balanced bipartition twice
             right = tuple(i for i in range(r) if i not in left)
-            im_l = image_lattice(_stack(h, left))
-            im_r = image_lattice(_stack(h, right))
-            if lattice_intersection(im_l, im_r).rank == 0 and lattice_sum(im_l, im_r) == full:
+            if rank(_stack(h, left)) + rank(_stack(h, right)) == n_prime:
                 part = (tuple(i + 1 for i in left), tuple(i + 1 for i in right))
                 return Irreducibility("Reducible", part), Certificate(
                     claim="reducible",
@@ -349,8 +347,7 @@ def splitting_search(h: ProductHom, max_factors: int = 12
     return Irreducibility("Unknown"), None
 
 
-def irreducibility(h: ProductHom, family: FamilySpec | None = None
-                   ) -> tuple[Irreducibility, Certificate | None]:
+def irreducibility(h: ProductHom) -> tuple[Irreducibility, Certificate | None]:
     """Reducible when an explicit splitting exists; Irreducible under a
     sufficient criterion (exact type F_m with m >= 2, virtual subdirectness,
     no factor mapped to zero, and failure of virtual surjection onto every
@@ -511,7 +508,7 @@ def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
     fin, fin_certs = finiteness_type(hn)
     betti, betti_cert = betti_kernel(hn)
     kahler, kahler_cert = kahler_verdict(h, family)
-    irr, irr_cert = irreducibility(hn, family)
+    irr, irr_cert = irreducibility(hn)
     certs = [full_cert, *fin_certs]
     if betti_cert is not None:
         certs.append(betti_cert)

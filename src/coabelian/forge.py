@@ -59,24 +59,12 @@ def _every_k_subset_independent(prefix: list[tuple[int, ...]],
     return True
 
 
-def _pairwise_independent(prefix: list[tuple[int, ...]],
-                          cand: tuple[int, ...]) -> bool:
-    """Admissibility step for the extended-family tail: cand is independent
-    from every single prefix vector (k = 2)."""
-    if all(x == 0 for x in cand):
-        return False
-    for v in prefix:
-        if v[0] * cand[1] - v[1] * cand[0] == 0:
-            return False
-    return True
-
-
-def _greedy_extend(k: int, prefix: list[tuple[int, ...]], count: int,
-                   admissible) -> list[tuple[int, ...]]:
+def _greedy_extend(k: int, prefix: list[tuple[int, ...]],
+                   count: int) -> list[tuple[int, ...]]:
     out = list(prefix)
     for _ in range(count):
         for cand in _nonneg_candidates(k):
-            if admissible(out, cand):
+            if _every_k_subset_independent(out, cand):
                 out.append(cand)
                 break
     return out
@@ -112,8 +100,7 @@ def generate_P_prime(k: int, r: int, cfg: GeneratorConfig | None = None) -> Vect
             raise ValueError(f"seed prefix violates property P at position {i + 1}")
     if len(prefix) > r:
         raise ValueError("seed prefix longer than r")
-    vectors = _greedy_extend(k, prefix, r - len(prefix),
-                             _every_k_subset_independent)
+    vectors = _greedy_extend(k, prefix, r - len(prefix))
     vs = VectorSet(k, tuple(vectors))
     assert check_property_P_prime(vs)
     return vs
@@ -161,7 +148,7 @@ def make_extended_family(m: int, r: int, genera=None,
     genera = _check_genera(genera, r)
     second = (1, 1) if subdirect_variant else (0, 1)
     prefix = [(1, 0)] * m + [second]
-    vectors = _greedy_extend(2, prefix, r - m - 1, _pairwise_independent)
+    vectors = _greedy_extend(2, prefix, r - m - 1)
     flagged = {m - 1, m}
     return FamilySpec(kind=EXTENDED, k=2, r=r, m=m,
                       vector_set=VectorSet(2, tuple(vectors)),

@@ -373,7 +373,7 @@ def family_from_dict(doc: dict) -> FamilySpec:
             raise SchemaError(f"missing field {key!r}")
     kind = doc["kind"]
     if kind not in FAMILY_KINDS:
-        raise SchemaError(f"kind: expected one of {FAMILY_KINDS}, got {kind!r}")
+        raise SchemaError(f"kind: expected one of {FAMILY_KINDS}, got {repr(kind)[:20]}")
     k = _decode_int(doc["k"], "k")
     r = _decode_int(doc["r"], "r")
     if not isinstance(doc["vectors"], list) or len(doc["vectors"]) != r:

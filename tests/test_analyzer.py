@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coabelian.analyzer import (analyze, betti_kernel, deficiency_profile,
                                 even_betti_witness, finiteness_type, fullness,
@@ -10,7 +12,8 @@ from coabelian.analyzer import (analyze, betti_kernel, deficiency_profile,
                                 projection_of_kernel, splitting_search,
                                 subdirectness, three_factor_classify)
 from coabelian.intmatrix import IntMatrix, hstack, rank
-from coabelian.lattice import Lattice, kernel_lattice
+from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
+                               lattice_intersection, lattice_sum)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
                              make_generic_family)
 from coabelian.model import ProductHom, build_hom_from_family
@@ -214,6 +217,54 @@ def test_splitting_trivial_map():
 def test_no_split_for_generic():
     verdict, _ = splitting_search(build_hom_from_family(GENERIC24))
     assert verdict.kind == "Unknown"
+
+
+@st.composite
+def split_prone_homs(draw):
+    """Random homs with r <= 7 whose factors sit on one side of a coordinate
+    cut, mixed by a lower-triangular change of coordinates whose diagonal
+    entries in {1, 2, 3} make the image of finite index."""
+    r, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    cut = draw(st.integers(0, n))
+    t = [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i
+          else 0 for j in range(n)] for i in range(n)]
+    blocks = []
+    for _ in range(r):
+        side = draw(st.booleans())
+        b = [[draw(st.integers(-2, 2)) if (i < cut) == side else 0 for _ in range(4)]
+             for i in range(n)]
+        blocks.append(M(t) @ M(b))
+    return ProductHom((2,) * r, n, tuple(blocks))
+
+
+def _lattice_split(h):
+    """The first bipartition, in the search's order, whose image lattices
+    intersect trivially and sum to the whole target."""
+    h, n = normalize(h)
+    r = h.num_factors
+    for size in range(1, r // 2 + 1):
+        for left in combinations(range(r), size):
+            if 0 not in left and size == r - size:
+                continue
+            right = tuple(i for i in range(r) if i not in left)
+            im_l, im_r = (image_lattice(hstack([h.blocks[i] for i in side], rows=n))
+                          for side in (left, right))
+            assert lattice_sum(im_l, im_r) == Lattice.full(n)  # by normalization
+            if lattice_intersection(im_l, im_r).rank == 0:
+                return tuple(i + 1 for i in left), tuple(i + 1 for i in right)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_prone_homs())
+def test_splitting_matches_lattice_definition(h):
+    verdict, _ = splitting_search(h)
+    if normalize(h)[1] == 0:
+        assert verdict.kind == ("Reducible" if h.num_factors >= 2 else "Unknown")
+        return
+    expected = _lattice_split(h)
+    assert verdict.kind == ("Unknown" if expected is None else "Reducible")
+    assert verdict.partition == expected
 
 
 def test_irreducibility_generic():

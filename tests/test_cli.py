@@ -136,3 +136,14 @@ def test_hostile_json_is_an_input_error(tmp_path, capsys, hom, family, cause):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert cause in err and len(err) < 200
+
+
+@pytest.mark.parametrize("kind", ["x" * 5000, list(range(3000))],
+                         ids=["long-string", "long-list"])
+def test_unknown_family_kind_is_echoed_clipped(tmp_path, capsys, kind):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"kind": kind, "k": 1, "r": 1, "vectors": [[1]],
+                                "covers": []}))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "kind: expected one of" in err and len(err) < 200

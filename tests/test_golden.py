@@ -2,17 +2,24 @@
 
 Each file in ``golden/inputs`` is analyzed and its output compared with the
 report of the same name in ``golden/reports``, recorded by
-``golden/record.py``.
+``golden/record.py``. The family inputs are also regenerated and must match
+their recorded bytes, which pins the generators' output.
 """
 
+import importlib.util
 import os
 
 import pytest
 
 from coabelian.cli import main
+from coabelian.model import serialize_family
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = sorted(name[:-5] for name in os.listdir(os.path.join(GOLDEN, "inputs")))
+_spec = importlib.util.spec_from_file_location("golden_record",
+                                               os.path.join(GOLDEN, "record.py"))
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
 
 
 def test_golden_set_is_complete():
@@ -28,3 +35,12 @@ def test_golden_report(case, capsys):
     assert code == 0
     with open(os.path.join(GOLDEN, "reports", case + ".json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_generated_families_match_recorded_inputs():
+    names = []
+    for name, spec in record.family_cases():
+        names.append(name)
+        with open(os.path.join(GOLDEN, "inputs", name + ".json"), encoding="utf-8") as fh:
+            assert serialize_family(spec) == fh.read(), name
+    assert len(names) == len(set(names)) >= 20

@@ -99,11 +99,7 @@ def test_transform_free_basis_and_rank(a):
     assert rank(a) == oracle.rank_by_elimination(a) == len(nonzero)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_snf_properties(rows):
-    a = M(rows)
-    s = smith_normal_form(a)
+def _assert_smith_certificate(a, s):
     assert is_unimodular(s.left) and is_unimodular(s.right)
     d = s.left @ a @ s.right
     for i in range(d.rows):
@@ -112,6 +108,58 @@ def test_snf_properties(rows):
             assert d.data[i][j] == expected
     for x, y in zip(s.diag, s.diag[1:]):
         assert x > 0 and y % x == 0
+    assert s.rank == len(s.diag) == rank(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_shape, low_rank))
+def test_snf_properties(a):
+    _assert_smith_certificate(a, smith_normal_form(a))
+
+
+def _elementary_product(n, rng):
+    """A product of 4n elementary operations with multipliers in [-3, 3]."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return M(u)
+
+
+def _invariant_factors(ds):
+    """Invariant factors of diag(ds): the i-th smallest exponent of every
+    prime, multiplied over the primes."""
+    out = [1] * len(ds)
+    for p in (2, 3, 5, 7):
+        exps = []
+        for d in ds:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            exps.append(e)
+        for i, e in enumerate(sorted(exps)):
+            out[i] *= p ** e
+    return tuple(out)
+
+
+def test_snf_structured_matrices_keep_transforms_small():
+    # A = U1 D U2 with unimodular U1, U2 hides D's invariant factors behind
+    # entries that make naive pivoting blow up the transforms
+    rng = random.Random(2026)
+    for sample in range(120):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        k = rng.randint(max(0, min(m, n) - 2), min(m, n))
+        ds = [rng.choice((1, 2, 3, 4, 6, 7, 10, 15, 30, 49)) for _ in range(k)]
+        d = M([[ds[i] if i == j and i < k else 0 for j in range(n)] for i in range(m)])
+        a = _elementary_product(m, rng) @ d @ _elementary_product(n, rng)
+        s = smith_normal_form(a)
+        assert s.diag == _invariant_factors(ds), sample
+        _assert_smith_certificate(a, s)
+        bits = max(abs(x).bit_length() for t in (s.left, s.right)
+                   for x in t.entries_row_major())
+        assert bits <= 256, (sample, bits)
 
 
 def _random_unimodular(n, rng):
