@@ -4,7 +4,9 @@ Every public function first normalizes its input: a non-surjective map is
 rewritten in coordinates for its image lattice (a free abelian group), which
 leaves the kernel untouched and makes the surjectivity hypotheses of the
 underlying theorems available. The effective rank n' is the rank of the
-concatenated block matrix.
+concatenated block matrix. The normal form is owned by the model
+(``ProductHom.normal_form``) and cached on the hom, so one ``analyze``
+reduces the concatenated matrix once however many phases normalize.
 
 Index sets in public signatures, witnesses, and JSON output are 1-based.
 """
@@ -16,7 +18,7 @@ from itertools import combinations
 
 from .intmatrix import IntMatrix, hstack, rank
 from .lattice import (Lattice, image_lattice, lattice_index,
-                      lattice_intersection, preimage_lattice, solve_in_basis)
+                      lattice_intersection, preimage_lattice)
 from .model import DEGENERATE, FamilySpec, ProductHom, build_hom_from_family
 
 EXACT = "Exact"
@@ -91,26 +93,10 @@ class ParityWitness:
 
 
 def normalize(h: ProductHom) -> tuple[ProductHom, int]:
-    """Rewrite h in coordinates for its image lattice; returns (h', n').
-
-    The image of the concatenated matrix is a free abelian subgroup of the
-    target, so this is a lossless change of coordinates: h' is surjective
-    onto Z^n' and has the same kernel lattice as h. Idempotent.
-    """
-    image = image_lattice(h.concatenated())
-    n_prime = image.rank
-    if image.is_full:
-        return h, n_prime
-    new_blocks = []
-    for block in h.blocks:
-        cols = []
-        for j in range(block.cols):
-            coeffs = solve_in_basis(image, tuple(block.data[i][j] for i in range(block.rows)))
-            assert coeffs is not None  # every column lies in the image by definition
-            cols.append(coeffs)
-        new_blocks.append(IntMatrix.from_rows(
-            [[c[i] for c in cols] for i in range(n_prime)], cols=block.cols))
-    return ProductHom(h.genera, n_prime, tuple(new_blocks)), n_prime
+    """(h', n') with h' = ``h.normal_form``: h rewritten onto its image
+    lattice Z^n', same kernel, cached on h so repeat calls are free."""
+    hn = h.normal_form
+    return hn, hn.target_rank
 
 
 def _stack(h: ProductHom, indices: tuple[int, ...]) -> IntMatrix:
@@ -147,15 +133,18 @@ def projection_of_kernel(h: ProductHom, t: tuple[int, ...] | list[int]) -> Kerne
 
 
 def subdirectness(h: ProductHom) -> tuple[FactorStatus, ...]:
-    """Per-factor status of the kernel's projections on abelianizations."""
+    """Per-factor status of the kernel's projections on abelianizations.
+    After normalization im A_i + im A_comp = Z^n', so factor i's projection
+    has index [Z^n' : im A_comp], A_comp the other factors' blocks."""
     h, _ = normalize(h)
     out = []
     for i in range(1, h.num_factors + 1):
-        proj = projection_of_kernel(h, (i,))
-        if proj.lattice.is_full:
+        comp = tuple(j for j in range(h.num_factors) if j != i - 1)
+        index = lattice_index(image_lattice(_stack(h, comp)))
+        if index == 1:
             out.append(FactorStatus(i, EXACT))
-        elif proj.index is not None:
-            out.append(FactorStatus(i, FINITE_INDEX, proj.index))
+        elif index is not None:
+            out.append(FactorStatus(i, FINITE_INDEX, index))
         else:
             out.append(FactorStatus(i, INFINITE_INDEX))
     return tuple(out)

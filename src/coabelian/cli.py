@@ -48,28 +48,27 @@ def _load(path: str) -> tuple[ProductHom, FamilySpec | None]:
     return doc, None
 
 
-def _print_report(report: analyzer.AnalysisReport) -> None:
-    print(f"effective rank: {report.effective_rank}")
-    print(f"fullness: {report.fullness.claim}")
+def _report_lines(report: analyzer.AnalysisReport):
+    yield f"effective rank: {report.effective_rank}"
+    yield f"fullness: {report.fullness.claim}"
     for s in report.subdirectness:
         extra = f" (index {s.index})" if s.status == analyzer.FINITE_INDEX else ""
-        print(f"factor {s.factor}: {s.status}{extra}")
-    print(f"max deficient size: {report.max_deficient_size}")
+        yield f"factor {s.factor}: {s.status}{extra}"
+    yield f"max deficient size: {report.max_deficient_size}"
     fin = report.finiteness
-    print("finiteness: " + (f"ExactType({fin.m})" if fin.kind == "ExactType" else fin.kind))
+    yield "finiteness: " + (f"ExactType({fin.m})" if fin.kind == "ExactType" else fin.kind)
     betti = report.betti
-    print("first Betti number of kernel: "
-          + (str(betti.value) if betti.kind == "Value" else "undetermined by criteria"))
+    yield ("first Betti number of kernel: "
+           + (str(betti.value) if betti.kind == "Value" else "undetermined by criteria"))
     kahler = report.kahler
-    print("Kaehler: " + kahler.kind
-          + (f" ({kahler.reason})" if kahler.reason else ""))
+    yield "Kaehler: " + kahler.kind + (f" ({kahler.reason})" if kahler.reason else "")
     irr = report.irreducibility
     line = "irreducibility: " + irr.kind
     if irr.partition:
         line += " across " + "|".join(",".join(map(str, p)) for p in irr.partition)
-    print(line)
+    yield line
     for cert in report.certificates:
-        print(f"  [{cert.claim}] {cert.justification}")
+        yield f"  [{cert.claim}] {cert.justification}"
 
 
 def _oracle_check(h: ProductHom) -> list[str]:
@@ -101,12 +100,15 @@ def cmd_analyze(args) -> int:
             for p in problems:
                 print(f"oracle disagreement: {p}", file=sys.stderr)
             return 2
-    if args.json:
-        sys.stdout.write(_dumps(report.to_json_dict()))
-    else:
-        _print_report(report)
-        if args.oracle:
-            print("oracle cross-check: agreed on all tuples")
+    try:  # str() of an int is capped at the interpreter's digit limit
+        text = (_dumps(report.to_json_dict()) if args.json
+                else "".join(f"{line}\n" for line in _report_lines(report)))
+    except ValueError:
+        raise CliInputError(f"{args.path}: the report has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+    sys.stdout.write(text)
+    if args.oracle and not args.json:
+        print("oracle cross-check: agreed on all tuples")
     return 0
 
 

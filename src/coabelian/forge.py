@@ -39,7 +39,7 @@ def _nonneg_candidates(k: int):
         for v in product(range(norm + 1), repeat=k):
             if max(v) == norm:
                 yield v
-    raise AssertionError("candidate norm bound exceeded")
+    raise ValueError(f"no admissible vector of max-norm at most {_NORM_BOUND}")
 
 
 def _every_k_subset_independent(prefix: list[tuple[int, ...]],

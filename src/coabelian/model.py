@@ -15,11 +15,11 @@ a necessary condition whenever the flag is set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 from .intmatrix import IntMatrix, det, hstack, rank
-from .lattice import image_lattice
+from .lattice import image_lattice, solve_in_basis
 
 _INT64_MAX = 2**63
 
@@ -157,6 +157,21 @@ class ProductHom:
 
     def concatenated(self) -> IntMatrix:
         return hstack(list(self.blocks), rows=self.target_rank)
+
+    @cached_property
+    def normal_form(self) -> "ProductHom":
+        """This map onto its image lattice Z^n' (a lossless change of
+        coordinates keeping the kernel), computed once per object. A
+        surjective map is its own normal form."""
+        image = image_lattice(self.concatenated())
+        if image.is_full:
+            return self
+        new_blocks = []
+        for block in self.blocks:
+            cols = [solve_in_basis(image, col) for col in zip(*block.data)]
+            assert None not in cols  # every column lies in the image by definition
+            new_blocks.append(IntMatrix.from_rows(list(zip(*cols)), cols=block.cols))
+        return ProductHom(self.genera, image.rank, tuple(new_blocks))
 
 
 @dataclass(frozen=True)

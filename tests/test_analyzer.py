@@ -16,6 +16,7 @@ from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
                                lattice_intersection, lattice_sum)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
                              make_generic_family)
+from coabelian import model
 from coabelian.model import ProductHom, build_hom_from_family
 
 
@@ -56,6 +57,56 @@ def test_normalize_finite_index_image_preserves_kernel():
     assert normalize(hn)[0] == hn
 
 
+FINITE_INDEX_HOM = ProductHom((2, 2, 2), 2, (M([[2, 0, 1, 0], [0, 0, 2, 0]]),
+                                             M([[0, 2, 0, 0], [0, 0, 0, 0]]),
+                                             M([[4, 0, 0, 1], [0, 0, 0, 2]])))
+
+
+def test_normal_form_is_cached_and_leaves_equality_alone():
+    g, n, blocks = FINITE_INDEX_HOM.genera, FINITE_INDEX_HOM.target_rank, FINITE_INDEX_HOM.blocks
+    h, twin = ProductHom(g, n, blocks), ProductHom(g, n, blocks)
+    before = hash(h)
+    hn, n = normalize(h)
+    assert n == 2 and hn != h
+    assert h.normal_form is hn and normalize(h)[0] is hn
+    assert normalize(hn)[0] is hn
+    assert h == twin and hash(h) == before == hash(twin) and repr(h) == repr(twin)
+    surjective = build_hom_from_family(GENERIC24)
+    assert normalize(surjective)[0] is surjective
+
+
+def _count_reductions(monkeypatch):
+    """Record every image lattice the model computes; during ``analyze``
+    these are exactly the normal-form reductions of concatenated matrices."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return image_lattice(a)
+
+    monkeypatch.setattr(model, "image_lattice", counting)
+    return calls
+
+
+def test_analyze_normalizes_a_surjective_hom_once(monkeypatch):
+    h = build_hom_from_family(GENERIC24)
+    calls = _count_reductions(monkeypatch)
+    analyze(h, GENERIC24)
+    assert calls == [h.concatenated()]
+
+
+@pytest.mark.parametrize("h", [
+    FINITE_INDEX_HOM,
+    ProductHom((2, 2), 2, (M([[1, 0, 1, 0], [0, 0, 0, 0]]), M([[0, 1, 0, 0], [0, 0, 0, 0]]))),
+    ProductHom((2, 2), 1, (M([[0, 0, 0, 0]]), M([[0, 0, 0, 0]]))),
+], ids=["finite-index", "zero-row", "zero-map"])
+def test_analyze_normalizes_a_non_surjective_hom_at_most_twice(monkeypatch, h):
+    h = ProductHom(h.genera, h.target_rank, h.blocks)  # a fresh object, nothing cached
+    calls = _count_reductions(monkeypatch)
+    analyze(h)
+    assert 1 <= len(calls) <= 2 and calls[0] == h.concatenated()
+
+
 def test_fullness_always():
     assert fullness(build_hom_from_family(GENERIC24)).claim == "Full"
 
@@ -85,6 +136,46 @@ def test_subdirectness_single_factor():
     # restrict to one factor: projection of kernel has infinite-index image
     single = ProductHom(h.genera[:1], h.target_rank, h.blocks[:1])
     assert subdirectness(single)[0].status == "InfiniteIndex"
+
+
+@st.composite
+def subdirectness_homs(draw):
+    """Random homs with r <= 5 and n <= 4. Each block is zero, rank one or
+    dense, times 1, 2 or 3, so the other factors' image often has finite
+    index in the whole image; a lower-triangular change of coordinates with
+    diagonal entries in {1, 2, 3} makes many whole images of finite index."""
+    r, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    t = [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i
+          else 0 for j in range(n)] for i in range(n)]
+    blocks = []
+    for _ in range(r):
+        shape = draw(st.sampled_from(["zero", "rank_one", "dense"]))
+        scale = draw(st.integers(1, 3))
+        if shape == "zero":
+            b = [[0] * 4 for _ in range(n)]
+        elif shape == "rank_one":
+            u = [draw(st.integers(-2, 2)) for _ in range(n)]
+            v = [draw(st.integers(-2, 2)) for _ in range(4)]
+            b = [[scale * x * y for y in v] for x in u]
+        else:
+            b = [[scale * draw(st.integers(-2, 2)) for _ in range(4)] for _ in range(n)]
+        blocks.append(M(t) @ M(b))
+    return ProductHom((2,) * r, n, tuple(blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdirectness_homs())
+def test_subdirectness_matches_projection_of_kernel(h):
+    expected = []
+    for i in range(1, h.num_factors + 1):
+        proj = projection_of_kernel(h, (i,))
+        if proj.lattice.is_full:
+            expected.append(("Exact", None))
+        elif proj.index is not None:
+            expected.append(("FiniteIndex", proj.index))
+        else:
+            expected.append(("InfiniteIndex", None))
+    assert [(s.status, s.index) for s in subdirectness(h)] == expected
 
 
 def test_deficiency_generic_24():

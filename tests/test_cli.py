@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coabelian import analyzer
+from coabelian import analyzer, forge
 from coabelian.cli import main
 from coabelian.model import SchemaError, parse_document, parse_family, parse_hom
 
@@ -147,3 +147,22 @@ def test_unknown_family_kind_is_echoed_clipped(tmp_path, capsys, kind):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "kind: expected one of" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_report_integer_beyond_the_digit_cap_is_an_input_error(tmp_path, capsys, flags):
+    big = str(10 ** 4000)  # factor 1 then has index big**2, 8001 digits
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genera": [2, 2, 2], "target_rank": 2, "blocks": [
+        [1, 0, 0, 0, 0, 1, 0, 0], [big, 0, 0, 0, 0, big, 0, 0],
+        [big, 0, 0, 0, 0, big, 0, 0]]}))
+    code, out, err = run(capsys, "analyze", str(path), *flags)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "digits" in err and len(err) < 200
+
+
+def test_generate_past_the_norm_bound_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(forge, "_NORM_BOUND", 1)
+    code, out, err = run(capsys, "generate", "generic", "-k", "2", "-r", "5")
+    assert code == 1 and out == ""
+    assert "max-norm at most 1" in err
