@@ -8,12 +8,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 from . import analyzer, forge, oracle
 from .intmatrix import IntMatrix, hstack, rank
-from .model import (DEGENERATE, EXTENDED, GENERIC, FamilySpec, ProductHom,
-                    SchemaError, build_hom_from_family, family_to_dict,
+from .model import (FamilySpec, ProductHom, build_hom_from_family, family_to_dict,
                     parse_document, serialize_family)
 
 
@@ -30,21 +30,26 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _load(path: str) -> tuple[ProductHom, FamilySpec | None]:
+@contextmanager
+def _file_errors(path: str):
+    """Report a file that cannot be read or written as an input error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        yield
+    except OSError as exc:  # its message names the path
         raise CliInputError(str(exc)) from None
-    try:
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def _load(path: str) -> tuple[ProductHom, FamilySpec | None]:
+    with _file_errors(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:  # model.SchemaError is a ValueError
         doc = parse_document(text)
-    except SchemaError as exc:
-        raise CliInputError(f"{path}: {exc}") from None
-    if isinstance(doc, FamilySpec):
-        try:
+        if isinstance(doc, FamilySpec):
             return build_hom_from_family(doc), doc
-        except ValueError as exc:
-            raise CliInputError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise CliInputError(f"{path}: {exc}") from None
     return doc, None
 
 
@@ -135,7 +140,7 @@ def cmd_generate(args) -> int:
         raise CliInputError(str(exc)) from None
     text = serialize_family(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _file_errors(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -210,10 +215,20 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write through a temporary file, so no reader sees half a file."""
+    tmp = path + ".tmp"
+    with _file_errors(path):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+
+
 def cmd_catalog(args) -> int:
     if args.max_r < 3 or args.max_r > 8:
         raise CliInputError("--max-r must be in 3..8")
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _file_errors(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
     entries = []
     jobs = []
     for r in range(3, args.max_r + 1):
@@ -225,17 +240,10 @@ def cmd_catalog(args) -> int:
     for name, spec in jobs:
         report = analyzer.analyze(build_hom_from_family(spec), spec)
         doc = {"family": family_to_dict(spec), "report": report.to_json_dict()}
-        path = os.path.join(args.out_dir, name + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(doc))
-        os.replace(tmp, path)
+        _replace_file(os.path.join(args.out_dir, name + ".json"), _dumps(doc))
         entries.append(name + ".json")
-    index_path = os.path.join(args.out_dir, "index.json")
-    tmp = index_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"reports": sorted(entries)}))
-    os.replace(tmp, index_path)
+    _replace_file(os.path.join(args.out_dir, "index.json"),
+                  _dumps({"reports": sorted(entries)}))
     print(f"wrote {len(entries)} reports to {args.out_dir}")
     return 0
 

@@ -4,12 +4,12 @@ Everything in this module is pure integer arithmetic; no floating point is
 used anywhere. Matrices are immutable row-major tuples of Python ints, so
 values can be hashed, compared bit-for-bit, and shared freely.
 
-One in-place row-echelon routine serves HNF, rank and SNF. ``hnf_basis``
-(images, sums, intersections, preimages) and ``rank`` reduce the matrix
-alone; ``hermite_normal_form`` carries the unimodular transform, which only
-integer kernels need; ``smith_normal_form`` alternates the routine on rows
-and columns. Canonical HNF makes lattice equality a plain equality test. The
-Smith normal form (with both transforms) is public but off the analysis path.
+``rank`` and ``det`` share one fraction-free (Bareiss) elimination, whose
+entries are minors of the input. One in-place Hermite row-echelon routine
+serves the normal forms: ``hnf_basis`` (images, sums, intersections,
+preimages) reduces A alone, ``hermite_normal_form`` carries the transform
+that integer kernels need, and ``smith_normal_form`` alternates it on rows
+and columns. Canonical HNF makes lattice equality a plain equality test.
 """
 
 from __future__ import annotations
@@ -178,34 +178,46 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
                                       for i in range(a.rows)))
 
 
+def _fraction_free(rows: list[Sequence[int]]) -> tuple[int, int, int]:
+    """Bareiss elimination (Math. Comp. 22, 1968) in place: (rank, sign of the
+    row swaps, last pivot). Every entry made is a minor of the input, so each
+    division by the previous pivot is exact; on a full-rank square input the
+    signed last pivot is the determinant. Pivotless columns are skipped."""
+    n = len(rows)
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(rows[0]) if rows else 0):
+        for i in range(rank, n):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        if i != rank:
+            rows[rank], rows[i] = rows[i], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(rank + 1, n):
+            q = rows[i][col]
+            if q or p != prev:  # q = 0 rows scale too, keeping later divisions exact
+                rows[i] = [(p * a - q * b) // prev for a, b in zip(rows[i], prow)]
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank, sign, prev
+
+
 def rank(a: IntMatrix) -> int:
-    """Rank of A over the rationals, by exact integer row reduction."""
-    return _echelon([list(row) for row in a.data], a.cols)
+    """Rank of A over the rationals, by fraction-free elimination."""
+    return _fraction_free(list(a.data))[0]
 
 
 def det(a: IntMatrix) -> int:
-    """Determinant of a square matrix by fraction-free (Bareiss) elimination."""
+    """Determinant of a square matrix by fraction-free elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    r, sign, last = _fraction_free(list(a.data))
+    return sign * last if r == a.rows else 0
 
 
 @dataclass(frozen=True)

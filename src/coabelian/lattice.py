@@ -48,10 +48,8 @@ class Lattice:
 
     def pivot_rows(self) -> tuple[int, ...]:
         """Row index of the topmost nonzero entry of each basis column."""
-        pivots = []
-        for j in range(self.basis.cols):
-            pivots.append(next(i for i in range(self.basis.rows) if self.basis.data[i][j]))
-        return tuple(pivots)
+        return tuple(next(i for i in range(self.basis.rows) if self.basis.data[i][j])
+                     for j in range(self.basis.cols))
 
 
 def image_lattice(a: IntMatrix) -> Lattice:
@@ -75,8 +73,6 @@ def lattice_index(lat: Lattice) -> int | None:
     """
     if lat.rank < lat.ambient_rank:
         return None
-    if lat.ambient_rank == 0:
-        return 1
     idx = 1
     for j in range(lat.ambient_rank):
         idx *= lat.basis.data[j][j]

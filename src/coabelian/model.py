@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .intmatrix import IntMatrix, det, hstack, rank
 from .lattice import image_lattice, solve_in_basis
@@ -68,8 +69,6 @@ def _standard_basis_vector(k: int, i: int) -> tuple[int, ...]:
 def check_property_P(vs: VectorSet) -> bool:
     """Every choice of dim vectors is linearly independent, and some choice
     is a basis of Z^dim (determinant +-1)."""
-    from itertools import combinations
-
     k, r = vs.dim, len(vs.vectors)
     if r < k:
         raise PropertyNotApplicable(f"need at least {k} vectors, got {r}")
@@ -91,9 +90,8 @@ def check_property_P_prime(vs: VectorSet) -> bool:
     k, r = vs.dim, len(vs.vectors)
     if r < k:
         raise PropertyNotApplicable(f"need at least {k} vectors, got {r}")
-    for i in range(k):
-        if vs.vectors[i] != _standard_basis_vector(k, i):
-            return False
+    if any(vs.vectors[i] != _standard_basis_vector(k, i) for i in range(k)):
+        return False
     return check_property_P(vs)
 
 
@@ -268,9 +266,7 @@ def torus_map_degree(b: IntMatrix) -> int | None:
     if b.rows != b.cols:
         return None
     d = det(b)
-    if d == 0:
-        return None
-    return abs(d)
+    return abs(d) if d else None
 
 
 # --- serialization -----------------------------------------------------------
@@ -329,6 +325,8 @@ def hom_from_dict(doc: dict) -> ProductHom:
             raise SchemaError(f"missing field {key!r}")
     genera = _decode_int_list(doc["genera"], "genera")
     n = _decode_int(doc["target_rank"], "target_rank")
+    if n < 0:
+        raise SchemaError("target_rank: must be nonnegative")
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list):
         raise SchemaError("blocks: expected a list")
@@ -402,6 +400,8 @@ def family_from_dict(doc: dict) -> FamilySpec:
         if not isinstance(c, dict):
             raise SchemaError(f"covers[{i}]: expected an object")
         genus = _decode_int(c.get("genus"), f"covers[{i}].genus")
+        if genus < 2:
+            raise SchemaError(f"covers[{i}].genus: must be at least 2")
         flat = _decode_int_list(c.get("block"), f"covers[{i}].block")
         if len(flat) != 4 * genus:
             raise SchemaError(f"covers[{i}].block: expected {4 * genus} entries")

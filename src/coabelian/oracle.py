@@ -4,7 +4,9 @@ These deliberately avoid the canonical-form machinery: rank is recomputed by
 plain fraction-free elimination, projected-kernel indices by an extended-gcd
 column echelon coded from scratch, and lattice indices by literally counting
 residue classes. Shared surface with the rest of the package is limited to
-the IntMatrix container and big-integer arithmetic.
+the IntMatrix container and big-integer arithmetic. The main ``rank`` uses
+fraction-free elimination too, so the tests also check both against the
+column count of the Hermite normal form, which does not.
 """
 
 from __future__ import annotations

@@ -166,3 +166,24 @@ def test_generate_past_the_norm_bound_is_an_input_error(monkeypatch, capsys):
     code, out, err = run(capsys, "generate", "generic", "-k", "2", "-r", "5")
     assert code == 1 and out == ""
     assert "max-norm at most 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "generic", "-k", "1", "-r", "3", "--out", "{file}/x.json"],
+    ["catalog", "--max-r", "3", "--out-dir", "{file}"],
+], ids=["generate-out-under-a-file", "catalog-out-dir-is-a-file"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command):
+    existing = tmp_path / "plain-file"
+    existing.write_text("")
+    code, out, err = run(capsys, *(arg.format(file=existing) for arg in command))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(existing) in err and existing.read_text() == ""
+
+
+def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "not UTF-8" in err and len(err) < 200

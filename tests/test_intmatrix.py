@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coabelian import oracle
+from coabelian import intmatrix, oracle
 from coabelian.intmatrix import (IntMatrix, det, elementary_divisors,
                                  hermite_normal_form, hnf_basis, hstack,
                                  is_unimodular, rank, smith_normal_form)
@@ -90,13 +91,69 @@ low_rank = st.tuples(st.integers(0, 6), st.integers(1, 3), st.integers(0, 7)).fl
 ).map(lambda f: f[0] @ f[1])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(any_shape, low_rank))
+# tall shapes, and entries far past any machine word
+tall = st.integers(0, 12).flatmap(
+    lambda r: st.integers(0, 5).flatmap(
+        lambda c: _matrix(r, c, st.integers(-1000, 1000))))
+huge = st.integers(0, 6).flatmap(
+    lambda r: st.integers(0, 7).flatmap(
+        lambda c: _matrix(r, c, st.integers(-10**40, 10**40))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(any_shape, low_rank, tall, huge))
 def test_transform_free_basis_and_rank(a):
+    # rank and the oracle both eliminate fraction-free; the column count of
+    # the Hermite form is the check that does not
     h, _ = hermite_normal_form(a)
     nonzero = [j for j in range(h.cols) if any(h[i, j] for i in range(h.rows))]
     assert hnf_basis(a) == h.select_columns(nonzero)
     assert rank(a) == oracle.rank_by_elimination(a) == len(nonzero)
+
+
+def _leibniz_det(a):
+    total = 0
+    for perm in itertools.permutations(range(a.rows)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i, j]
+        total += term
+    return total
+
+
+# square matrices up to 5 x 5: dense, singular products of thin factors, and
+# a repeated last row
+square = st.integers(0, 5).flatmap(lambda n: _matrix(n, n, st.integers(-10**6, 10**6)))
+square_low_rank = st.integers(1, 5).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(
+        lambda k: st.tuples(_matrix(n, k, st.integers(-30, 30)),
+                            _matrix(k, n, st.integers(-30, 30))))
+).map(lambda f: f[0] @ f[1])
+square_repeated = st.integers(1, 5).flatmap(
+    lambda n: _matrix(n, n, st.integers(-3, 3))
+).map(lambda a: IntMatrix(a.rows, a.cols, a.data[:-1] + a.data[:1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square, square_low_rank, square_repeated))
+def test_det_matches_leibniz_expansion(a):
+    d = det(a)
+    assert d == _leibniz_det(a)
+    assert (d != 0) == (rank(a) == a.rows)
+
+
+def test_rank_and_det_do_not_use_the_hermite_routine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rank and det must not run the Hermite routine")
+    monkeypatch.setattr(intmatrix, "_echelon", refuse)
+    assert rank(M([[2, 4, 6], [3, 6, 9], [1, 0, 1]])) == 2
+    assert rank(IntMatrix.zeros(2, 0)) == 0
+    assert det(M([[2, 1, 0], [1, 3, 1], [0, 1, 4]])) == 18
+    assert det(M([[1, 2], [2, 4]])) == 0
+    assert det(M([[0, 1], [1, 0]])) == -1
+    with pytest.raises(ValueError):
+        det(M([[1, 2, 3]]))
 
 
 def _assert_smith_certificate(a, s):

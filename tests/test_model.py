@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from coabelian.intmatrix import IntMatrix
@@ -119,3 +121,10 @@ def test_schema_errors():
         parse_family('{"kind": "weird", "k": 1, "r": 3, "vectors": [], "covers": []}')
     with pytest.raises(SchemaError, match="genus must be at least 2"):
         parse_hom('{"genera": [1], "target_rank": 1, "blocks": [[1, 2]]}')
+    # the sign of the sizes is checked before the entry counts they imply
+    with pytest.raises(SchemaError, match=r"^target_rank: must be nonnegative$"):
+        parse_hom('{"genera": [2], "target_rank": -1, "blocks": [[1, 2]]}')
+    doc = json.loads(serialize_family(make_generic_family(1, 3)))
+    doc["covers"][0]["genus"] = -1
+    with pytest.raises(SchemaError, match=r"^covers\[0\]\.genus: must be at least 2$"):
+        parse_family(json.dumps(doc))
