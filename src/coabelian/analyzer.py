@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .intmatrix import IntMatrix, hstack, rank
+from .intmatrix import IntMatrix, column_components, hstack, rank
 from .lattice import (Lattice, image_lattice, lattice_index,
                       lattice_intersection, preimage_lattice)
 from .model import DEGENERATE, FamilySpec, ProductHom, build_hom_from_family
@@ -301,11 +301,18 @@ def kahler_verdict(h: ProductHom, family: FamilySpec | None = None
 
 def splitting_search(h: ProductHom, max_factors: int = 12
                      ) -> tuple[Irreducibility, Certificate | None]:
-    """Look for a bipartition of the factors across which the kernel splits
-    as a direct product. After normalization the two image sublattices
-    always sum to the whole target, and the kernel modulo the product of the
-    two restricted kernels is their intersection; so a bipartition splits
-    exactly when the two ranks add up to n'."""
+    """Look for a bipartition L|R of the factors across which the kernel
+    splits as a direct product. After normalization the two image
+    sublattices always sum to the whole target, and the kernel modulo the
+    product of the two restricted kernels is their intersection; so L|R
+    splits exactly when rank(A_L) + rank(A_R) = n'. In the rational column
+    matroid of the normalized matrix that says L's columns form a separator,
+    that is a union of connected components (Oxley, Matroid Theory, 2nd ed.,
+    ch. 4). So the factors are grouped by the components their columns
+    share, and L|R splits exactly when no group has factors on both sides.
+    The partition reported is the first split in order of |L|, then
+    lexicographically; a nonzero map on more than max_factors factors
+    answers Unknown."""
     h, n_prime = normalize(h)
     r = h.num_factors
     if n_prime == 0:
@@ -319,12 +326,20 @@ def splitting_search(h: ProductHom, max_factors: int = 12
         return Irreducibility("Unknown"), None  # single factor: nothing to split
     if r > max_factors:
         return Irreducibility("Unknown"), None
+    owner = [i for i, b in enumerate(h.blocks) for _ in range(b.cols)]
+    group = list(range(r))  # factors joined by a shared component share a group
+    for j, c in enumerate(column_components(_stack(h, tuple(range(r))))):
+        old, new = group[owner[j]], group[owner[c]]
+        if old != new:
+            group = [new if g == old else g for g in group]
+    if len(set(group)) == 1:
+        return Irreducibility("Unknown"), None
     for size in range(1, r // 2 + 1):
         for left in combinations(range(r), size):
             if 0 not in left and size == r - size:
                 continue  # avoid enumerating each balanced bipartition twice
             right = tuple(i for i in range(r) if i not in left)
-            if rank(_stack(h, left)) + rank(_stack(h, right)) == n_prime:
+            if {group[i] for i in left}.isdisjoint(group[i] for i in right):
                 part = (tuple(i + 1 for i in left), tuple(i + 1 for i in right))
                 return Irreducibility("Reducible", part), Certificate(
                     claim="reducible",
@@ -333,7 +348,7 @@ def splitting_search(h: ProductHom, max_factors: int = 12
                                   "kernel is the direct product of the kernels of "
                                   "the two restrictions",
                     data={"partition": [list(part[0]), list(part[1])]})
-    return Irreducibility("Unknown"), None
+    raise AssertionError("a smallest group has at most r/2 factors and splits off")
 
 
 def irreducibility(h: ProductHom) -> tuple[Irreducibility, Certificate | None]:

@@ -10,11 +10,14 @@ serves the normal forms: ``hnf_basis`` (images, sums, intersections,
 preimages) reduces A alone, ``hermite_normal_form`` carries the transform
 that integer kernels need, and ``smith_normal_form`` alternates it on rows
 and columns. Canonical HNF makes lattice equality a plain equality test.
+``column_components`` labels the connected components of the rational
+column matroid from one integer Gauss-Jordan reduction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -218,6 +221,46 @@ def det(a: IntMatrix) -> int:
         raise ValueError("determinant of a non-square matrix")
     r, sign, last = _fraction_free(list(a.data))
     return sign * last if r == a.rows else 0
+
+
+def column_components(a: IntMatrix) -> tuple[int, ...]:
+    """Label each column of A with its connected component in the column
+    matroid of A over the rationals; the label is the least column index of
+    the component. A column set S is a union of components exactly when
+    rank(A_S) + rank(A_rest) = rank(A).
+
+    Gauss-Jordan elimination that keeps every row primitive (divided by the
+    gcd of its entries) brings A to a row-scaled reduced echelon form with
+    integers only. The pivot columns form a basis B, and the fundamental
+    circuit of a non-pivot column j is j with the pivot columns whose rows
+    are nonzero at j. The components are the classes of the union of these
+    circuits over any one basis (Oxley, Matroid Theory, 2nd ed., ch. 4), so
+    zero columns (loops) and pivot columns in no circuit (coloops) stay alone.
+    """
+    rows = [list(row) for row in a.data]
+    pivots: list[int] = []  # rows[i] has its pivot in column pivots[i]
+    for col in range(a.cols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        prow = rows[k]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            q = row[col]
+            if q and i != k:
+                row = [p * x - q * y for x, y in zip(row, prow)]
+                g = math.gcd(*row) or 1  # a dependent row below may vanish
+                rows[i] = [x // g for x in row]
+        pivots.append(col)
+    labels = list(range(a.cols))
+    for j in range(a.cols):
+        for row, p in zip(rows, pivots):
+            if row[j] and p != j:  # p lies on the fundamental circuit of j
+                old, new = sorted((labels[j], labels[p]), reverse=True)
+                labels = [new if x == old else x for x in labels]
+    return tuple(labels)
 
 
 @dataclass(frozen=True)

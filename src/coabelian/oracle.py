@@ -2,14 +2,18 @@
 
 These deliberately avoid the canonical-form machinery: rank is recomputed by
 plain fraction-free elimination, projected-kernel indices by an extended-gcd
-column echelon coded from scratch, and lattice indices by literally counting
-residue classes. Shared surface with the rest of the package is limited to
-the IntMatrix container and big-integer arithmetic. The main ``rank`` uses
-fraction-free elimination too, so the tests also check both against the
-column count of the Hermite normal form, which does not.
+column echelon coded from scratch, lattice indices by literally counting
+residue classes, and splittings by the rank pair of every bipartition where
+the analyzer reads matroid components. Shared surface with the rest of the
+package is limited to the IntMatrix container and big-integer arithmetic.
+The main ``rank`` uses fraction-free elimination too, so the tests also
+check both against the column count of the Hermite normal form, which does
+not.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .intmatrix import IntMatrix, hstack
 from .lattice import Lattice
@@ -43,6 +47,33 @@ def rank_by_elimination(a: IntMatrix) -> int:
         if r == rows:
             break
     return r
+
+
+def split_by_rank_additivity(h: ProductHom, max_factors: int = 12
+                             ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first bipartition L|R of the factors (1-based) with
+    rank(A_L) + rank(A_R) = rank(A), by trying every bipartition in order of
+    |L|, then lexicographically, each balanced one once (L holds factor 1).
+    Ranks are rational, so the raw blocks answer as the normal form would.
+    None when no bipartition splits, or when r > max_factors and the map is
+    not zero."""
+    r = h.num_factors
+
+    def rank_of(indices):
+        return rank_by_elimination(hstack([h.blocks[i] for i in indices],
+                                          rows=h.target_rank))
+
+    total = rank_of(range(r))
+    if r > max_factors and total:
+        return None
+    for size in range(1, r // 2 + 1):
+        for left in combinations(range(r), size):
+            if 0 not in left and size == r - size:
+                continue
+            right = tuple(i for i in range(r) if i not in left)
+            if rank_of(left) + rank_of(right) == total:
+                return tuple(i + 1 for i in left), tuple(i + 1 for i in right)
+    return None
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -153,7 +184,6 @@ def index_by_residue_count_raw(ambient: int, cols: list[list[int]]) -> int:
         raise OracleBoundExceeded(f"ambient rank {ambient} > {AMBIENT_BOUND}")
     if ambient == 0:
         return 1
-    from itertools import combinations
     d = 0
     for subset in combinations(range(len(cols)), ambient):
         square = [[cols[j][i] for j in subset] for i in range(ambient)]

@@ -1,5 +1,6 @@
 """Analyzer behaviour on the worked examples plus structural invariants."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
                                lattice_intersection, lattice_sum)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
                              make_generic_family)
-from coabelian import model
+from coabelian import model, oracle
 from coabelian.model import ProductHom, build_hom_from_family
 
 
@@ -356,6 +357,70 @@ def test_splitting_matches_lattice_definition(h):
     expected = _lattice_split(h)
     assert verdict.kind == ("Unknown" if expected is None else "Reducible")
     assert verdict.partition == expected
+
+
+@st.composite
+def splitting_homs(draw):
+    """Random homs with r <= 9 and n <= 4, genus 2 or 3. Each block takes a
+    shape from a per-hom subset of: zero, a copy of an earlier block, dense,
+    or nonzero only on the rows of one of two coordinate groups. A
+    lower-triangular change of coordinates with diagonal entries in
+    {1, 2, 3} makes many images of finite index; n = 0 gives the zero map."""
+    r, n = draw(st.integers(1, 9)), draw(st.sampled_from((2, 3, 4, 1, 0)))
+    genera = tuple(draw(st.integers(2, 3)) for _ in range(r))
+    row_group = [draw(st.integers(0, 1)) for _ in range(n)]
+    t = M([[draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i
+            else 0 for j in range(n)] for i in range(n)]) if n else IntMatrix(0, 0, ())
+    shapes = draw(st.lists(st.sampled_from(["group", "dense", "copy", "zero"]),
+                           min_size=1, max_size=4, unique=True))
+    blocks = []
+    for g in genera:
+        shape = draw(st.sampled_from(shapes))
+        copies = [b for b in blocks if b.cols == 2 * g]
+        if shape == "copy" and copies:
+            blocks.append(draw(st.sampled_from(copies)))
+            continue
+        side = draw(st.sampled_from(row_group)) if n else 0
+        b = [[draw(st.sampled_from((1, -1, 2, 0, -2))) if shape == "dense"
+              or shape == "group" and row_group[i] == side else 0
+              for _ in range(2 * g)] for i in range(n)]
+        blocks.append(t @ IntMatrix(n, 2 * g, tuple(map(tuple, b))))
+    return ProductHom(genera, n, tuple(blocks))
+
+
+def _assert_split_matches_oracle(h):
+    verdict, cert = splitting_search(h)
+    expected = oracle.split_by_rank_additivity(h)
+    assert verdict.partition == expected
+    assert verdict.kind == ("Unknown" if expected is None else "Reducible")
+    assert (cert is None) == (expected is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(splitting_homs(), split_prone_homs()))
+def test_splitting_matches_rank_additivity_oracle(h):
+    _assert_split_matches_oracle(h)
+
+
+def _seeded_wide_hom(rng, r, kind):
+    """A seeded hom with r factors of genus 2 and n <= 6: dense, split
+    across a random coordinate cut, or r - 1 copies of one block."""
+    n = rng.randint(1, 6)
+    cut = rng.randint(1, n)
+    copy = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(n)]
+    blocks = []
+    for i in range(r):
+        side = rng.random() < 0.5
+        b = [[rng.randint(-3, 3) if kind == "dense" or (row < cut) == side else 0
+              for _ in range(4)] for row in range(n)]
+        blocks.append(M(copy if kind == "repeated" and i else b))
+    return ProductHom((2,) * r, n, tuple(blocks))
+
+
+@pytest.mark.parametrize("kind", ["dense", "split", "repeated"])
+@pytest.mark.parametrize("r", [10, 11, 12])
+def test_splitting_matches_rank_additivity_oracle_on_wide_homs(r, kind):
+    _assert_split_matches_oracle(_seeded_wide_hom(random.Random(100 * r), r, kind))
 
 
 def test_irreducibility_generic():

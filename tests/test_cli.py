@@ -1,8 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from coabelian import analyzer, forge
+from coabelian import analyzer, cli, forge
 from coabelian.cli import main
 from coabelian.model import SchemaError, parse_document, parse_family, parse_hom
 
@@ -76,6 +78,28 @@ def test_verify_small(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "verification succeeded" in out
+
+
+@pytest.mark.parametrize("max_r", ["3", "9"])
+def test_verify_max_r_outside_the_cap_is_an_input_error(capsys, max_r):
+    code, out, err = run(capsys, "verify", "--max-r", max_r)
+    assert code == 1 and out == ""
+    assert err == "error: --max-r must be in 4..8\n"
+
+
+def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    run(capsys, "generate", "extended", "-m", "1", "-r", "4", "--out", str(path))
+    commands = [["analyze", str(path), "--json"],
+                ["generate", "generic", "-k", "1", "-r", "3"],
+                ["analyze", str(path), "--bogus"],
+                ["verify", "--max-r", "4"],
+                ["analyze", str(path)]]
+    in_process = [run(capsys, *argv) for argv in commands]
+    fresh = [subprocess.run([sys.executable, "-m", "coabelian.cli", *argv],
+                            capture_output=True, text=True) for argv in commands]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_catalog(tmp_path, capsys):

@@ -2,12 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coabelian import intmatrix, oracle
-from coabelian.intmatrix import (IntMatrix, det, elementary_divisors,
-                                 hermite_normal_form, hnf_basis, hstack,
+from coabelian.intmatrix import (IntMatrix, column_components, det,
+                                 elementary_divisors, hermite_normal_form, hnf_basis, hstack,
                                  is_unimodular, rank, smith_normal_form)
 
 
@@ -109,6 +109,37 @@ def test_transform_free_basis_and_rank(a):
     nonzero = [j for j in range(h.cols) if any(h[i, j] for i in range(h.rows))]
     assert hnf_basis(a) == h.select_columns(nonzero)
     assert rank(a) == oracle.rank_by_elimination(a) == len(nonzero)
+
+
+# sparse supports give several components, zero columns, parallel columns
+# and rank 0; a dense left factor with entries up to 10^3 or 10^40 hides them
+sparse = st.integers(0, 5).flatmap(
+    lambda r: st.integers(0, 8).flatmap(
+        lambda c: _matrix(r, c, st.sampled_from((0, 0, 0, 1, -1, 2)))))
+hidden = st.tuples(sparse, st.sampled_from((10**3, 10**40))).flatmap(
+    lambda s: st.tuples(_matrix(s[0].rows, s[0].rows, st.integers(-s[1], s[1])),
+                        st.just(s[0]))
+).map(lambda f: f[0] @ f[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse, hidden, low_rank, huge))
+@example(IntMatrix(0, 0, ()))
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(2, 4))
+def test_column_components_are_the_separators(a):
+    labels = column_components(a)
+    cols = range(a.cols)
+    assert len(labels) == a.cols
+    assert all(labels[j] == min(k for k in cols if labels[k] == labels[j]) for j in cols)
+    ranks = [oracle.rank_by_elimination(a.select_columns(
+        j for j in cols if mask >> j & 1)) for mask in range(1 << a.cols)]
+    full = (1 << a.cols) - 1
+    for mask in range(1 << a.cols):
+        inside = {labels[j] for j in cols if mask >> j & 1}
+        outside = {labels[j] for j in cols if not mask >> j & 1}
+        assert inside.isdisjoint(outside) == (ranks[mask] + ranks[full ^ mask]
+                                              == ranks[full])
 
 
 def _leibniz_det(a):
