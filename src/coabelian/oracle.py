@@ -49,30 +49,32 @@ def rank_by_elimination(a: IntMatrix) -> int:
     return r
 
 
-def split_by_rank_additivity(h: ProductHom, max_factors: int = 12
-                             ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The first bipartition L|R of the factors (1-based) with
-    rank(A_L) + rank(A_R) = rank(A), by trying every bipartition in order of
-    |L|, then lexicographically, each balanced one once (L holds factor 1).
-    Ranks are rational, so the raw blocks answer as the normal form would.
-    None when no bipartition splits, or when r > max_factors and the map is
-    not zero."""
-    r = h.num_factors
-
-    def rank_of(indices):
-        return rank_by_elimination(hstack([h.blocks[i] for i in indices],
-                                          rows=h.target_rank))
-
-    total = rank_of(range(r))
-    if r > max_factors and total:
-        return None
+def bipartitions(r: int):
+    """Every bipartition (L, R) of range(r) in the splitting search's order:
+    by |L| <= r/2, then lexicographically, each balanced one once (L holds
+    factor 0)."""
     for size in range(1, r // 2 + 1):
         for left in combinations(range(r), size):
             if 0 not in left and size == r - size:
                 continue
-            right = tuple(i for i in range(r) if i not in left)
-            if rank_of(left) + rank_of(right) == total:
-                return tuple(i + 1 for i in left), tuple(i + 1 for i in right)
+            yield left, tuple(i for i in range(r) if i not in left)
+
+
+def split_by_rank_additivity(h: ProductHom
+                             ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first bipartition L|R of the factors (1-based) with
+    rank(A_L) + rank(A_R) = rank(A), trying every bipartition in order.
+    Ranks are rational, so the raw blocks answer as the normal form would.
+    None when no bipartition splits. Unlike the analyzer it has no factor
+    cap."""
+    def rank_of(indices):
+        return rank_by_elimination(hstack([h.blocks[i] for i in indices],
+                                          rows=h.target_rank))
+
+    total = rank_of(range(h.num_factors))
+    for left, right in bipartitions(h.num_factors):
+        if rank_of(left) + rank_of(right) == total:
+            return tuple(i + 1 for i in left), tuple(i + 1 for i in right)
     return None
 
 
