@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coabelian.analyzer import (analyze, betti_kernel, deficiency_profile,
-                                even_betti_witness, finiteness_type, fullness,
+from coabelian.analyzer import (_first_split, analyze, betti_kernel,
+                                deficiency_profile, even_betti_witness,
+                                finiteness_type, fullness,
                                 irreducibility, kahler_verdict, normalize,
                                 projection_of_kernel, splitting_search,
                                 subdirectness, three_factor_classify)
@@ -164,8 +165,29 @@ def subdirectness_homs(draw):
     return ProductHom((2,) * r, n, tuple(blocks))
 
 
+@st.composite
+def wide_homs(draw):
+    """Homs shaped like the wide_blocks benchmark: r <= 5, n <= 6, genus 2
+    to 4 and entries up to 10^3, drawn from a seeded generator (drawing each
+    entry through hypothesis costs more than the checks). Lower-triangular
+    changes of coordinates with diagonal entries in {1, 2, 3} mix every
+    block (so many images have finite index) and push some blocks into one
+    sublattice (so the other factors' image often has finite index > 1 in
+    the whole image)."""
+    r, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t, sub = (M([[rng.randint(1, 3) if i == j else rng.randint(-2, 2) if j < i
+                  else 0 for j in range(n)] for i in range(n)]) for _ in range(2))
+    blocks = []
+    for _ in range(r):
+        g = rng.randint(2, 4)
+        b = M([[rng.randint(-1000, 1000) for _ in range(2 * g)] for _ in range(n)])
+        blocks.append(t @ (sub @ b if rng.random() < 0.5 else b))
+    return ProductHom(tuple(b.cols // 2 for b in blocks), n, tuple(blocks))
+
+
 @settings(max_examples=200, deadline=None)
-@given(subdirectness_homs())
+@given(st.one_of(subdirectness_homs(), wide_homs()))
 def test_subdirectness_matches_projection_of_kernel(h):
     expected = []
     for i in range(1, h.num_factors + 1):
@@ -177,6 +199,19 @@ def test_subdirectness_matches_projection_of_kernel(h):
         else:
             expected.append(("InfiniteIndex", None))
     assert [(s.status, s.index) for s in subdirectness(h)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(subdirectness_homs(), wide_homs()))
+def test_finite_type_rules_out_infinite_index(h):
+    # irreducibility skips the subdirectness check on the strength of this:
+    # factor i has infinite index exactly when its complement, an (r-1)-set,
+    # is deficient, which makes D = r - 1 and m = 0
+    fin, _ = finiteness_type(h)
+    infinite = [s for s in subdirectness(h) if s.status == "InfiniteIndex"]
+    if fin.kind == "ExactType":
+        assert fin.m >= 1 and not infinite
+    assert bool(infinite) == (fin.kind == "NotFinitelyGenerated")
 
 
 def test_deficiency_generic_24():
@@ -418,6 +453,24 @@ def test_splitting_matches_rank_additivity_oracle_on_wide_homs(r, kind):
     # rank pairs only: the lattice definition on all 2047 bipartitions of a
     # 12-factor hom takes about a second per hom
     _assert_split_matches_oracle(_seeded_wide_hom(random.Random(100 * r), r, kind))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+def test_first_split_matches_the_bipartition_walk(group):
+    walk = next((left for left, right in oracle.bipartitions(len(group))
+                 if {group[i] for i in left}.isdisjoint(group[i] for i in right)), None)
+    assert _first_split(group) == walk
+
+
+def test_splitting_interleaved_groups_of_twelve_factors():
+    # the odd factors map into the first coordinate and the even ones into
+    # the second, so the first split is the balanced one holding factor 1
+    up, down = M([[1, 2, 0, 0], [0, 0, 0, 0]]), M([[0, 0, 0, 0], [3, 1, 0, 0]])
+    h = ProductHom((2,) * 12, 2, tuple(up if i % 2 else down for i in range(1, 13)))
+    verdict, _ = splitting_search(h)
+    assert verdict.partition == (tuple(range(1, 13, 2)), tuple(range(2, 13, 2)))
+    _assert_split_matches_oracle(h)
 
 
 def test_irreducibility_generic():
