@@ -268,11 +268,13 @@ def _family_provenance(h: ProductHom, family: FamilySpec | None) -> bool:
     return built.blocks == h.blocks and built.genera == h.genera
 
 
-def kahler_verdict(h: ProductHom, family: FamilySpec | None = None
-                   ) -> tuple[Kahler, Certificate]:
+def kahler_verdict(h: ProductHom, family: FamilySpec | None = None, *,
+                   betti: Betti | None = None) -> tuple[Kahler, Certificate]:
+    """``betti``, when given, stands for ``betti_kernel(h)``'s verdict."""
     raw = h
     h, n_prime = normalize(h)
-    betti, _ = betti_kernel(h)
+    if betti is None:
+        betti, _ = betti_kernel(h)
     odd_betti = (betti.kind == "Value" and betti.value is not None
                  and betti.value % 2 == 1)
     reasons = ()
@@ -531,7 +533,7 @@ def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
     d, witnesses = deficiency_profile(hn)
     fin, fin_certs = finiteness_type(hn)
     betti, betti_cert = betti_kernel(hn)
-    kahler, kahler_cert = kahler_verdict(h, family)
+    kahler, kahler_cert = kahler_verdict(h, family, betti=betti)
     irr, irr_cert = irreducibility(hn)
     certs = [full_cert, *fin_certs]
     if betti_cert is not None:

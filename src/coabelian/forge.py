@@ -20,6 +20,8 @@ from .model import (DEGENERATE, DPS, EXTENDED, GENERIC, CoverData, FamilySpec,
 # safety bound on the max-norm of greedily chosen vectors; generously above
 # anything the supported parameter ranges require
 _NORM_BOUND = 64
+# a family document lists every cover coefficient, so its size grows with g
+_MAX_GENUS = 1000
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ def _default_covers(genera: tuple[int, ...], flagged: set[int]) -> tuple[CoverDa
 
 def _check_genera(genera, r: int) -> tuple[int, ...]:
     genera = tuple(genera) if genera is not None else (2,) * r
-    if len(genera) != r or any(g < 2 for g in genera):
-        raise ValueError("need one genus >= 2 per factor")
+    if len(genera) != r or any(not 2 <= g <= _MAX_GENUS for g in genera):
+        raise ValueError(f"need one genus in 2..{_MAX_GENUS} per factor")
     return genera
 
 

@@ -118,6 +118,12 @@ def _echelon(rows: list[list[int]], width: int) -> int:
     each pivot reduced into [0, pivot); zero rows sink to the bottom. Every
     row operation acts on whole rows, so columns past ``width`` ride along:
     on [A | I] they record the unimodular transform.
+
+    Each round scans the column once for the pivot, an entry of least
+    absolute value (the lowest row among ties), and reduces the rows below
+    by the nearest-integer quotient, leaving remainders of at most half the
+    pivot. Entries above a pivot keep the floor reduction into [0, pivot),
+    which makes the pivot rows the canonical basis of the row lattice.
     """
     n = len(rows)
     pivot_row = 0
@@ -125,18 +131,23 @@ def _echelon(rows: list[list[int]], width: int) -> int:
         if pivot_row >= n:
             break
         while True:
-            nonzero = [i for i in range(pivot_row, n) if rows[i][col]]
-            if not nonzero:
+            best, least = -1, 0
+            for i in range(pivot_row, n):
+                x = rows[i][col]
+                if x and (not least or abs(x) < least):
+                    best, least = i, abs(x)
+            if best < 0:
                 break
-            best = min(nonzero, key=lambda i: (abs(rows[i][col]), i))
             if best != pivot_row:
                 rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
             clean = True
             prow = rows[pivot_row]
-            p = prow[col]
+            half = least >> 1
+            sign = 1 if prow[col] > 0 else -1
             for i in range(pivot_row + 1, n):
-                if rows[i][col]:
-                    q = rows[i][col] // p
+                x = rows[i][col]
+                if x:
+                    q = sign * ((x + half) // least)
                     rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
                     if rows[i][col]:
                         clean = False

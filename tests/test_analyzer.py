@@ -323,6 +323,15 @@ def test_kahler_from_family_provenance():
     assert kahler_verdict(hd, deg)[0].kind == "Unknown"
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(subdirectness_homs(), wide_homs()))
+def test_kahler_verdict_alone_matches_analyze(h):
+    # analyze hands its Betti verdict to kahler_verdict; alone, it computes it
+    verdict, cert = kahler_verdict(h)
+    report = analyze(h)
+    assert report.kahler == verdict and cert in report.certificates
+
+
 def block_diagonal_hom():
     up = M([[1, 0, 0, 0], [0, 0, 0, 0]])
     down = M([[0, 0, 0, 0], [1, 0, 0, 0]])

@@ -62,6 +62,11 @@ def test_generate_bad_ranges(capsys):
     assert code == 1
     code, _, err = run(capsys, "generate", "extended", "-m", "2", "-r", "4")
     assert code == 1
+    # the document lists every cover coefficient, so a huge genus is refused
+    code, out, err = run(capsys, "generate", "generic", "-k", "2", "-r", "4",
+                         "--genera", "1000000000,2,2,2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "genus in 2..1000" in err and len(err) < 200
 
 
 def test_generate_degenerate(capsys):

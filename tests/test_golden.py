@@ -11,8 +11,9 @@ import os
 
 import pytest
 
+from coabelian.analyzer import analyze, kahler_verdict
 from coabelian.cli import main
-from coabelian.model import serialize_family
+from coabelian.model import build_hom_from_family, serialize_family
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = sorted(name[:-5] for name in os.listdir(os.path.join(GOLDEN, "inputs")))
@@ -44,3 +45,11 @@ def test_generated_families_match_recorded_inputs():
         with open(os.path.join(GOLDEN, "inputs", name + ".json"), encoding="utf-8") as fh:
             assert serialize_family(spec) == fh.read(), name
     assert len(names) == len(set(names)) >= 20
+
+
+def test_kahler_verdict_alone_matches_analyze_on_families():
+    for name, spec in record.family_cases():
+        h = build_hom_from_family(spec)
+        verdict, cert = kahler_verdict(h, spec)
+        report = analyze(h, spec)
+        assert report.kahler == verdict and cert in report.certificates, name

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -109,6 +110,37 @@ def test_transform_free_basis_and_rank(a):
     nonzero = [j for j in range(h.cols) if any(h[i, j] for i in range(h.rows))]
     assert hnf_basis(a) == h.select_columns(nonzero)
     assert rank(a) == oracle.rank_by_elimination(a) == len(nonzero)
+
+
+def _minor_gcd(a, k):
+    """gcd of the k x k minors of A (1 for k = 0)."""
+    return math.gcd(*(det(IntMatrix(k, k, tuple(tuple(a[i, j] for j in cols) for i in rows)))
+                      for rows in itertools.combinations(range(a.rows), k)
+                      for cols in itertools.combinations(range(a.cols), k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_shape, low_rank, huge))
+def test_hnf_basis_is_the_reduced_echelon_basis_of_the_column_span(a):
+    # checked from the definition, not against hermite_normal_form, which
+    # runs the same echelon routine
+    b = hnf_basis(a)
+    k = rank(a)
+    assert (b.rows, b.cols) == (a.rows, k)
+    pivots = [next(i for i in range(b.rows) if b[i, j]) for j in range(k)]
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for j, p in enumerate(pivots):
+        assert b[p, j] > 0 and all(0 <= b[p, t] < b[p, j] for t in range(j))
+    for c in range(a.cols):  # back-substitution along the pivots
+        residual = list(a.column(c))
+        for j, p in enumerate(pivots):
+            q, rem = divmod(residual[p], b[p, j])
+            assert rem == 0
+            residual = [x - q * y for x, y in zip(residual, b.column(j))]
+        assert not any(residual)
+    # A = B X with X integral; the columns of X span Z^k, so the spans of A
+    # and B agree, exactly when the gcds of their maximal minors agree
+    assert _minor_gcd(a, k) == _minor_gcd(b, k)
 
 
 # sparse supports give several components, zero columns, parallel columns
