@@ -268,13 +268,17 @@ def _family_provenance(h: ProductHom, family: FamilySpec | None) -> bool:
     return built.blocks == h.blocks and built.genera == h.genera
 
 
-def kahler_verdict(h: ProductHom, family: FamilySpec | None = None, *,
-                   betti: Betti | None = None) -> tuple[Kahler, Certificate]:
-    """``betti``, when given, stands for ``betti_kernel(h)``'s verdict."""
-    raw = h
-    h, n_prime = normalize(h)
-    if betti is None:
-        betti, _ = betti_kernel(h)
+def kahler_verdict(h: ProductHom,
+                   family: FamilySpec | None = None) -> tuple[Kahler, Certificate]:
+    """Parity obstructions first, then the construction certificate of a
+    validated family that h was built from."""
+    return _kahler(h, family, betti_kernel(h)[0])
+
+
+def _kahler(raw: ProductHom, family: FamilySpec | None,
+            betti: Betti) -> tuple[Kahler, Certificate]:
+    """The Kaehler verdict given ``betti_kernel``'s verdict on raw."""
+    _, n_prime = normalize(raw)
     odd_betti = (betti.kind == "Value" and betti.value is not None
                  and betti.value % 2 == 1)
     reasons = ()
@@ -426,10 +430,10 @@ def even_betti_witness(h: ProductHom,
                                                "sum of 2g_i"))
     lats = []
     for pos, block in enumerate(partition):
-        idx = tuple(i - 1 for i in block)
-        if rank(_stack(h, idx)) < n_prime:
+        lat = image_lattice(_stack(h, tuple(i - 1 for i in block)))
+        if lat.rank < n_prime:
             return ParityWitness(False, failing_block=pos + 1)
-        lats.append(image_lattice(_stack(h, idx)))
+        lats.append(lat)
     lat = lattice_intersection(lattice_intersection(lats[0], lats[1]), lats[2])
     index = lattice_index(lat)
     assert index is not None  # three full-rank lattices intersect in full rank
@@ -533,7 +537,7 @@ def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
     d, witnesses = deficiency_profile(hn)
     fin, fin_certs = finiteness_type(hn)
     betti, betti_cert = betti_kernel(hn)
-    kahler, kahler_cert = kahler_verdict(h, family, betti=betti)
+    kahler, kahler_cert = _kahler(h, family, betti)
     irr, irr_cert = irreducibility(hn)
     certs = [full_cert, *fin_certs]
     if betti_cert is not None:

@@ -148,10 +148,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _expect_exact_type(report: analyzer.AnalysisReport, m: int) -> bool:
-    return report.finiteness.kind == "ExactType" and report.finiteness.m == m
-
-
 def _dps_shaped_hom(genera: tuple[int, ...]) -> ProductHom:
     """Surjection onto Z with every block the all-(1,0) pattern: subdirect,
     effective rank 1."""
@@ -159,24 +155,25 @@ def _dps_shaped_hom(genera: tuple[int, ...]) -> ProductHom:
     return ProductHom(genera, 1, blocks)
 
 
-def _verification_rows(max_r: int):
-    achieved: dict[int, set[int]] = {r: set() for r in range(3, max_r + 1)}
+def _family_grid(max_r: int):
+    """The paper's families up to max_r factors, in a fixed order: yields
+    (kind, (parameter name, value), r, spec, expected exact finiteness type)."""
     for r in range(3, max_r + 1):
         for k in range(1, r - 1):
-            spec = forge.make_generic_family(k, r)
-            report = analyzer.analyze(build_hom_from_family(spec), spec)
-            ok = _expect_exact_type(report, r - k)
-            if ok:
-                achieved[r].add(r - k)
-            yield (f"generic k={k} r={r}: exact type F_{r - k}", ok)
+            yield "generic", ("k", k), r, forge.make_generic_family(k, r), r - k
     for r in range(4, max_r + 1):
         for m in range(1, r - 2):
-            spec = forge.make_extended_family(m, r)
-            report = analyzer.analyze(build_hom_from_family(spec), spec)
-            ok = _expect_exact_type(report, r - m - 1)
-            if ok:
-                achieved[r].add(r - m - 1)
-            yield (f"extended m={m} r={r}: exact type F_{r - m - 1}", ok)
+            yield "extended", ("m", m), r, forge.make_extended_family(m, r), r - m - 1
+
+
+def _verification_rows(max_r: int):
+    achieved: dict[int, set[int]] = {r: set() for r in range(3, max_r + 1)}
+    for kind, (p, v), r, spec, expected in _family_grid(max_r):
+        report = analyzer.analyze(build_hom_from_family(spec), spec)
+        ok = report.finiteness == analyzer.Finiteness("ExactType", expected)
+        if ok:
+            achieved[r].add(expected)
+        yield (f"{kind} {p}={v} r={r}: exact type F_{expected}", ok)
     for r in range(3, max_r + 1):
         yield (f"r={r}: every exact type in 2..{r - 1} realized by a generated family",
                set(range(2, r)) <= achieved[r])
@@ -231,22 +228,25 @@ def cmd_catalog(args) -> int:
     with _file_errors(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
     entries = []
-    jobs = []
-    for r in range(3, args.max_r + 1):
-        for k in range(1, r - 1):
-            jobs.append((f"generic_k{k}_r{r}", forge.make_generic_family(k, r)))
-    for r in range(4, args.max_r + 1):
-        for m in range(1, r - 2):
-            jobs.append((f"extended_m{m}_r{r}", forge.make_extended_family(m, r)))
-    for name, spec in jobs:
+    for kind, (p, v), r, spec, _ in _family_grid(args.max_r):
+        name = f"{kind}_{p}{v}_r{r}.json"
         report = analyzer.analyze(build_hom_from_family(spec), spec)
         doc = {"family": family_to_dict(spec), "report": report.to_json_dict()}
-        _replace_file(os.path.join(args.out_dir, name + ".json"), _dumps(doc))
-        entries.append(name + ".json")
+        _replace_file(os.path.join(args.out_dir, name), _dumps(doc))
+        entries.append(name)
     _replace_file(os.path.join(args.out_dir, "index.json"),
                   _dumps({"reports": sorted(entries)}))
     print(f"wrote {len(entries)} reports to {args.out_dir}")
     return 0
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a rejected value is echoed clipped."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text[:20]!r}") from None
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -268,9 +268,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-k", type=int, help="target parameter (generic/degenerate)")
     p.add_argument("-m", type=int, help="multiplicity (extended)")
     p.add_argument("-r", type=int, required=True, help="number of factors")
-    p.add_argument("--genera", type=lambda s: tuple(int(x) for x in s.split(",")),
+    p.add_argument("--genera", type=_int_tuple,
                    help="comma-separated genera, default all 2")
-    p.add_argument("--profile", type=lambda s: tuple(int(x) for x in s.split(",")),
+    p.add_argument("--profile", type=_int_tuple,
                    help="duplicate multiplicities (degenerate)")
     p.add_argument("--subdirect", action="store_true",
                    help="use the fully subdirect variant")

@@ -11,11 +11,11 @@ inspects the nonnegative part of the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .intmatrix import IntMatrix, det
 from .model import (DEGENERATE, DPS, EXTENDED, GENERIC, CoverData, FamilySpec,
-                    VectorSet, check_property_P_prime)
+                    VectorSet, check_property_P_prime, first_dependent,
+                    independent_of_prefix, standard_basis)
 
 # safety bound on the max-norm of greedily chosen vectors; generously above
 # anything the supported parameter ranges require
@@ -44,36 +44,15 @@ def _nonneg_candidates(k: int):
     raise ValueError(f"no admissible vector of max-norm at most {_NORM_BOUND}")
 
 
-def _every_k_subset_independent(prefix: list[tuple[int, ...]],
-                                cand: tuple[int, ...]) -> bool:
-    """Admissibility step for property P: every k-subset of prefix+cand that
-    contains cand is linearly independent."""
-    k = len(cand)
-    if all(x == 0 for x in cand):
-        return False
-    if k == 1:
-        return True
-    for subset in combinations(prefix, k - 1):
-        cols = list(subset) + [cand]
-        if det(IntMatrix.from_rows([[c[i] for c in cols] for i in range(k)],
-                                   cols=k)) == 0:
-            return False
-    return True
-
-
 def _greedy_extend(k: int, prefix: list[tuple[int, ...]],
                    count: int) -> list[tuple[int, ...]]:
     out = list(prefix)
     for _ in range(count):
         for cand in _nonneg_candidates(k):
-            if _every_k_subset_independent(out, cand):
+            if independent_of_prefix(out, cand):
                 out.append(cand)
                 break
     return out
-
-
-def _standard_basis(k: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
 
 
 def generate_P_prime(k: int, r: int, cfg: GeneratorConfig | None = None) -> VectorSet:
@@ -82,24 +61,17 @@ def generate_P_prime(k: int, r: int, cfg: GeneratorConfig | None = None) -> Vect
     prefix is validated, then completed."""
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
-    if k == 1:
-        # independence of singletons only requires nonzero entries;
-        # the least admissible candidate is 1 every time
-        prefix = list((cfg.seed_vectors if cfg else ()) or [(1,)])
-    else:
-        prefix = _standard_basis(k)
-        if cfg and cfg.seed_vectors:
-            prefix = list(cfg.seed_vectors)
-            if prefix[:k] != _standard_basis(k)[:len(prefix)]:
-                raise ValueError("seed prefix must start with the standard basis")
-            if len(prefix) < k:
-                prefix += _standard_basis(k)[len(prefix):]
+    basis = standard_basis(k)
+    prefix = list(cfg.seed_vectors) if cfg else []
+    if prefix[:k] != basis[:len(prefix)]:
+        raise ValueError("seed prefix must start with the standard basis")
+    prefix += basis[len(prefix):]
     for v in prefix:
         if len(v) != k:
             raise ValueError("seed vector of wrong dimension")
-    for i, v in enumerate(prefix):
-        if not _every_k_subset_independent(prefix[:i], v):
-            raise ValueError(f"seed prefix violates property P at position {i + 1}")
+    i = first_dependent(prefix)
+    if i is not None:
+        raise ValueError(f"seed prefix violates property P at position {i + 1}")
     if len(prefix) > r:
         raise ValueError("seed prefix longer than r")
     vectors = _greedy_extend(k, prefix, r - len(prefix))
@@ -131,7 +103,7 @@ def make_generic_family(k: int, r: int, genera=None,
         raise ValueError("need 1 <= k <= r-2")
     genera = _check_genera(genera, r)
     if subdirect_variant and not (cfg and cfg.seed_vectors):
-        cfg = GeneratorConfig(seed_vectors=tuple(_standard_basis(k)) + ((1,) * k,))
+        cfg = GeneratorConfig(seed_vectors=tuple(standard_basis(k)) + ((1,) * k,))
     vs = generate_P_prime(k, r, cfg)
     flagged = set(range(k))
     if subdirect_variant:

@@ -86,17 +86,10 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
 
 
 def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
-    """Exact intersection: solve B1 x = B2 y and push the solutions through B1."""
+    """Exact intersection: the image under B1 of the preimage of l2 under B1."""
     if l1.ambient_rank != l2.ambient_rank:
         raise AmbientMismatchError("lattice intersection needs equal ambient ranks")
-    if l1.is_full:
-        return l2
-    if l2.is_full:
-        return l1
-    stacked = hstack([l1.basis, -l2.basis], rows=l1.ambient_rank)
-    ker = kernel_lattice(stacked)
-    coeffs = ker.basis.top_rows(l1.basis.cols)
-    return Lattice.from_generators(l1.ambient_rank, l1.basis @ coeffs)
+    return image_lattice(l1.basis @ preimage_lattice(l1.basis, l2).basis)
 
 
 def preimage_lattice(a: IntMatrix, lat: Lattice) -> Lattice:

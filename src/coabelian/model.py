@@ -62,8 +62,33 @@ class VectorSet:
             cols=len(self.vectors))
 
 
-def _standard_basis_vector(k: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(k))
+def standard_basis(k: int) -> list[tuple[int, ...]]:
+    """The unit vectors of Z^k, in order."""
+    return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+
+
+def independent_of_prefix(prefix: list[tuple[int, ...]],
+                          cand: tuple[int, ...]) -> bool:
+    """The incremental step of property P: every k-subset of prefix+cand
+    that contains cand is linearly independent."""
+    k = len(cand)
+    if all(x == 0 for x in cand):
+        return False
+    if k == 1:
+        return True
+    for subset in combinations(prefix, k - 1):
+        cols = list(subset) + [cand]
+        if det(IntMatrix.from_rows([[c[i] for c in cols] for i in range(k)],
+                                   cols=k)) == 0:
+            return False
+    return True
+
+
+def first_dependent(vectors) -> int | None:
+    """Index of the first vector that fails ``independent_of_prefix``
+    against the vectors before it; None when every k-subset is independent."""
+    return next((i for i, v in enumerate(vectors)
+                 if not independent_of_prefix(vectors[:i], v)), None)
 
 
 def check_property_P(vs: VectorSet) -> bool:
@@ -87,12 +112,7 @@ def check_property_P(vs: VectorSet) -> bool:
 
 def check_property_P_prime(vs: VectorSet) -> bool:
     """Property P with the first dim vectors equal to the standard basis."""
-    k, r = vs.dim, len(vs.vectors)
-    if r < k:
-        raise PropertyNotApplicable(f"need at least {k} vectors, got {r}")
-    if any(vs.vectors[i] != _standard_basis_vector(k, i) for i in range(k)):
-        return False
-    return check_property_P(vs)
+    return check_property_P(vs) and list(vs.vectors[:vs.dim]) == standard_basis(vs.dim)
 
 
 def default_cover_block(genus: int) -> IntMatrix:
@@ -237,13 +257,11 @@ def build_hom_from_family(spec: FamilySpec) -> ProductHom:
         if any(vs.vectors[i] != first for i in range(m)):
             raise FamilyValidationError(
                 "extended family requires the first m vectors to coincide")
-        for i in range(m - 1, spec.r):
-            for j in range(i + 1, spec.r):
-                a, b = vs.vectors[i], vs.vectors[j]
-                if a[0] * b[1] - a[1] * b[0] == 0:
-                    raise FamilyValidationError(
-                        f"extended family requires vectors {i + 1} and {j + 1} "
-                        "to be linearly independent")
+        i = first_dependent(vs.vectors[m - 1:])
+        if i is not None:
+            raise FamilyValidationError(
+                f"extended family requires vectors {m}..{spec.r} to be pairwise "
+                f"linearly independent; vector {m + i} depends on an earlier one")
         for i in (m - 1, m):
             if not spec.covers[i].pi1_surjective:
                 raise FamilyValidationError(

@@ -69,6 +69,17 @@ def test_generate_bad_ranges(capsys):
     assert err.count("\n") == 1 and "genus in 2..1000" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("option,value", [("--genera", "9" * 5000 + ",2,2,2"),
+                                          ("--profile", "x" * 3000)],
+                         ids=["genera", "profile"])
+def test_generate_clips_a_rejected_option_value(capsys, option, value):
+    code, out, err = run(capsys, "generate", "degenerate", "-k", "2", "-r", "4",
+                         option, value)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "comma-separated integers" in err
+    assert len(err.encode()) < 200
+
+
 def test_generate_degenerate(capsys):
     code, out, _ = run(capsys, "generate", "degenerate", "-k", "2", "-r", "5",
                        "--profile", "3,1,1")

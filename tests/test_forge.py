@@ -32,6 +32,9 @@ def test_seed_prefix_validated_not_repaired():
     cfg = GeneratorConfig(seed_vectors=((2, 1),))  # wrong start
     with pytest.raises(ValueError, match="standard basis"):
         generate_P_prime(2, 5, cfg)
+    # k = 1 seeds go through the same check
+    with pytest.raises(ValueError, match="standard basis"):
+        generate_P_prime(1, 3, GeneratorConfig(seed_vectors=((2,),)))
 
 
 def test_seed_prefix_extended():
