@@ -4,9 +4,10 @@ Every public function first normalizes its input: a non-surjective map is
 rewritten in coordinates for its image lattice (a free abelian group), which
 leaves the kernel untouched and makes the surjectivity hypotheses of the
 underlying theorems available. The effective rank n' is the rank of the
-concatenated block matrix. The normal form is owned by the model
-(``ProductHom.normal_form``) and cached on the hom, so one ``analyze``
-reduces the concatenated matrix once however many phases normalize.
+concatenated block matrix. The normal form and the Hermite basis of each
+of its blocks are owned by the model (``ProductHom.normal_form`` and
+``block_bases``) and cached on the hom, so one ``analyze`` reduces the
+concatenated matrix and each block once however many phases read them.
 
 Index sets in public signatures, witnesses, and JSON output are 1-based.
 """
@@ -140,7 +141,7 @@ def subdirectness(h: ProductHom) -> tuple[FactorStatus, ...]:
     end, so im A_comp costs about 3 reductions of at most 2n' columns and
     gets the canonical basis that reducing A_comp whole would give."""
     h, n_prime = normalize(h)
-    bases = [hnf_basis(b) for b in h.blocks]
+    bases = h.block_bases
     prefix = [IntMatrix.zeros(n_prime, 0)]  # prefix[i] spans blocks 0..i-1
     for b in bases[:-1]:
         prefix.append(hnf_basis(hstack([prefix[-1], b])))
@@ -244,7 +245,8 @@ def betti_kernel(h: ProductHom) -> tuple[Betti, Certificate | None]:
                           "so the five-term exact sequence in homology gives "
                           "b1(kernel) = sum of 2g_i minus the target rank",
             data={"condition": "rank-one subdirect"})
-    surjecting = [i + 1 for i, b in enumerate(h.blocks) if image_lattice(b).is_full]
+    full = IntMatrix.identity(n_prime)
+    surjecting = [i + 1 for i, b in enumerate(h.block_bases) if b == full]
     if len(surjecting) >= 3:
         return Betti("Value", total - n_prime), Certificate(
             claim=f"b1 = {total - n_prime}",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .intmatrix import IntMatrix, det, hstack, rank
+from .intmatrix import IntMatrix, det, hnf_basis, hstack, rank
 from .lattice import image_lattice, solve_in_basis
 
 _INT64_MAX = 2**63
@@ -176,20 +176,33 @@ class ProductHom:
     def concatenated(self) -> IntMatrix:
         return hstack(list(self.blocks), rows=self.target_rank)
 
-    @cached_property
+    @property
     def normal_form(self) -> "ProductHom":
         """This map onto its image lattice Z^n' (a lossless change of
         coordinates keeping the kernel), computed once per object. A
         surjective map is its own normal form."""
+        return self._rewritten or self
+
+    @cached_property
+    def _rewritten(self) -> "ProductHom | None":
+        """The normal form, or None for a surjective map: caching the map
+        itself would make a reference cycle that only the collector frees."""
         image = image_lattice(self.concatenated())
         if image.is_full:
-            return self
+            return None
         new_blocks = []
         for block in self.blocks:
             cols = [solve_in_basis(image, col) for col in zip(*block.data)]
             assert None not in cols  # every column lies in the image by definition
             new_blocks.append(IntMatrix.from_rows(list(zip(*cols)), cols=block.cols))
-        return ProductHom(self.genera, image.rank, tuple(new_blocks))
+        hn = ProductHom(self.genera, image.rank, tuple(new_blocks))
+        vars(hn)["_rewritten"] = None  # its image is all of Z^n' already
+        return hn
+
+    @cached_property
+    def block_bases(self) -> tuple[IntMatrix, ...]:
+        """Each block's ``hnf_basis``, the canonical basis of its image."""
+        return tuple(hnf_basis(b) for b in self.blocks)
 
 
 @dataclass(frozen=True)

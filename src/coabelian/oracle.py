@@ -1,14 +1,14 @@
 """Slow, independent re-implementations used to cross-check the main code.
 
 These deliberately avoid the canonical-form machinery: rank is recomputed by
-plain fraction-free elimination, projected-kernel indices by an extended-gcd
-column echelon coded from scratch, lattice indices by literally counting
-residue classes, and splittings by the rank pair of every bipartition where
-the analyzer reads matroid components. Shared surface with the rest of the
-package is limited to the IntMatrix container and big-integer arithmetic.
-The main ``rank`` uses fraction-free elimination too, so the tests also
-check both against the column count of the Hermite normal form, which does
-not.
+plain fraction-free elimination, projected-kernel indices by a column
+echelon with nearest-integer reduction coded from scratch, lattice indices
+by literally counting residue classes, and splittings by the rank pair of
+every bipartition where the analyzer reads matroid components. Shared
+surface with the rest of the package is limited to the IntMatrix container
+and big-integer arithmetic. The main ``rank`` uses fraction-free
+elimination too, so the tests also check both against the column count of
+the Hermite normal form, which does not.
 """
 
 from __future__ import annotations
@@ -78,34 +78,29 @@ def split_by_rank_additivity(h: ProductHom
     return None
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), (1 if a > 0 else -1) if a else 0, 0)
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def _column_echelon(a: IntMatrix) -> list[list[int]]:
-    """Column echelon form over Z via extended-gcd column combinations;
-    returns the nonzero columns, ordered by strictly increasing leading row.
-    Not canonical, not reduced — unimodular column operations only."""
+    """Column echelon form over Z by unimodular column operations; returns
+    the nonzero columns, ordered by strictly increasing leading row. In each
+    row the column of least |entry| is subtracted, by the nearest-integer
+    multiple, from the others until one nonzero is left. Remainders are at
+    most half that entry, so a row takes few rounds and the entries of the
+    other rows grow slowly. Not canonical, not reduced."""
     cols = [c for j in range(a.cols)
             if any(c := [a.data[i][j] for i in range(a.rows)])]
     done = []
     for row in range(a.rows):
-        idxs = [j for j, c in enumerate(cols) if c[row] != 0]
-        if not idxs:
-            continue
-        p = idxs[0]
-        for j in idxs[1:]:
-            g, x, y = _xgcd(cols[p][row], cols[j][row])
-            u, v = cols[p][row] // g, cols[j][row] // g
-            # the 2x2 operation [[x, -v], [y, u]] has determinant 1
-            new_p = [x * s + y * t for s, t in zip(cols[p], cols[j])]
-            new_j = [-v * s + u * t for s, t in zip(cols[p], cols[j])]
-            cols[p], cols[j] = new_p, new_j
-        done.append(cols.pop(p))
-        cols = [c for c in cols if any(c)]
+        live = [c for c in cols if c[row]]
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[row]))
+            d = p[row]
+            for c in live:
+                if c is not p:
+                    q = (2 * c[row] + d) // (2 * d)  # nearest integer to c[row] / d
+                    c[:] = [x - q * y for x, y in zip(c, p)]
+            live = [c for c in live if c[row]]
+        if live:
+            done.append(live[0])
+            cols = [c for c in cols if c is not live[0] and any(c)]
     return done
 
 

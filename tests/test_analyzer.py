@@ -1,6 +1,8 @@
 """Analyzer behaviour on the worked examples plus structural invariants."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -13,7 +15,7 @@ from coabelian.analyzer import (_first_split, analyze, betti_kernel,
                                 irreducibility, kahler_verdict, normalize,
                                 projection_of_kernel, splitting_search,
                                 subdirectness, three_factor_classify)
-from coabelian.intmatrix import IntMatrix, hstack, rank
+from coabelian.intmatrix import IntMatrix, hnf_basis, hstack, rank
 from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
                                lattice_intersection, lattice_sum)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
@@ -64,17 +66,38 @@ FINITE_INDEX_HOM = ProductHom((2, 2, 2), 2, (M([[2, 0, 1, 0], [0, 0, 2, 0]]),
                                              M([[4, 0, 0, 1], [0, 0, 0, 2]])))
 
 
-def test_normal_form_is_cached_and_leaves_equality_alone():
+def test_normal_form_is_cached_and_leaves_equality_alone(monkeypatch):
     g, n, blocks = FINITE_INDEX_HOM.genera, FINITE_INDEX_HOM.target_rank, FINITE_INDEX_HOM.blocks
     h, twin = ProductHom(g, n, blocks), ProductHom(g, n, blocks)
     before = hash(h)
     hn, n = normalize(h)
     assert n == 2 and hn != h
     assert h.normal_form is hn and normalize(h)[0] is hn
-    assert normalize(hn)[0] is hn
+    hn_twin = ProductHom(hn.genera, hn.target_rank, hn.blocks)
+    assert hn.block_bases == tuple(hnf_basis(b) for b in hn.blocks)
+    assert h.block_bases == tuple(hnf_basis(b) for b in blocks)
     assert h == twin and hash(h) == before == hash(twin) and repr(h) == repr(twin)
+    assert hn == hn_twin and hash(hn) == hash(hn_twin) and repr(hn) == repr(hn_twin)
+    calls = _count_reductions(monkeypatch)
+    assert normalize(hn)[0] is hn and calls == []
     surjective = build_hom_from_family(GENERIC24)
     assert normalize(surjective)[0] is surjective
+
+
+@pytest.mark.parametrize("h", [FINITE_INDEX_HOM, build_hom_from_family(GENERIC24)],
+                         ids=["finite-index", "surjective"])
+def test_cached_normal_form_and_bases_make_no_reference_cycle(h):
+    # a cycle would keep every analyzed hom alive until the collector runs
+    h = ProductHom(h.genera, h.target_rank, h.blocks)
+    hn, _ = normalize(h)
+    assert h.block_bases and hn.block_bases and normalize(hn)[0] is hn
+    refs = weakref.ref(h), weakref.ref(hn)
+    gc.disable()
+    try:
+        del h, hn
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _count_reductions(monkeypatch):
@@ -102,11 +125,26 @@ def test_analyze_normalizes_a_surjective_hom_once(monkeypatch):
     ProductHom((2, 2), 2, (M([[1, 0, 1, 0], [0, 0, 0, 0]]), M([[0, 1, 0, 0], [0, 0, 0, 0]]))),
     ProductHom((2, 2), 1, (M([[0, 0, 0, 0]]), M([[0, 0, 0, 0]]))),
 ], ids=["finite-index", "zero-row", "zero-map"])
-def test_analyze_normalizes_a_non_surjective_hom_at_most_twice(monkeypatch, h):
+def test_analyze_normalizes_a_non_surjective_hom_once(monkeypatch, h):
     h = ProductHom(h.genera, h.target_rank, h.blocks)  # a fresh object, nothing cached
     calls = _count_reductions(monkeypatch)
     analyze(h)
-    assert 1 <= len(calls) <= 2 and calls[0] == h.concatenated()
+    assert calls == [h.concatenated()]
+
+
+@pytest.mark.parametrize("h", [FINITE_INDEX_HOM, build_hom_from_family(GENERIC24)],
+                         ids=["finite-index", "surjective"])
+def test_analyze_reduces_each_block_once(monkeypatch, h):
+    h = ProductHom(h.genera, h.target_rank, h.blocks)  # a fresh object, nothing cached
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return hnf_basis(a)
+
+    monkeypatch.setattr(model, "hnf_basis", counting)
+    analyze(h)
+    assert calls == list(h.normal_form.blocks)
 
 
 def test_fullness_always():
@@ -330,6 +368,20 @@ def test_kahler_verdict_alone_matches_analyze(h):
     verdict, cert = kahler_verdict(h)
     report = analyze(h)
     assert report.kahler == verdict and cert in report.certificates
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(subdirectness_homs(), wide_homs()))
+def test_subdirectness_and_betti_alone_match_analyze(h):
+    # analyze shares the normal form and block bases cached on its hom;
+    # alone, each phase computes them on an object of its own
+    def fresh():
+        return ProductHom(h.genera, h.target_rank, h.blocks)
+
+    betti, cert = betti_kernel(fresh())
+    report = analyze(fresh())
+    assert report.subdirectness == subdirectness(fresh()) and report.betti == betti
+    assert cert is None or cert in report.certificates
 
 
 def block_diagonal_hom():

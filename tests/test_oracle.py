@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from coabelian import oracle
-from coabelian.analyzer import normalize, projection_of_kernel
+from coabelian.analyzer import normalize, projection_of_kernel, subdirectness
 from coabelian.forge import make_extended_family, make_generic_family
 from coabelian.intmatrix import IntMatrix, rank
 from coabelian.lattice import Lattice, image_lattice, lattice_index
@@ -71,3 +71,49 @@ def test_vsp_agreement_on_families():
 def test_vsp_trivial_target():
     h = ProductHom((2, 2), 0, (IntMatrix.zeros(0, 4), IntMatrix.zeros(0, 4)))
     assert oracle.vsp_by_preimage(h, (1,)) == 1
+
+
+def _wide_hom(rng, shape):
+    """A hom shaped like the wide_blocks benchmark: r 3-5, n 6-8, genus 3-6
+    and entries up to 10^3. Under "index" every column satisfies
+    w . col = 0 (mod p), so the image is a proper finite-index sublattice;
+    under "mixed" every block but the first does, so factor 1's projection
+    usually has finite index p."""
+    r, n, e = rng.randint(3, 5), rng.randint(6, 8), rng.choice((100, 300, 1000))
+    w, p = [1] + [rng.randint(0, 1) for _ in range(n - 1)], rng.choice((2, 3))
+    blocks = []
+    for i in range(r):
+        free = shape == "dense" or (shape == "mixed" and i == 0)
+        cols, width = [], 2 * rng.randint(3, 6)
+        while len(cols) < width:
+            col = [rng.randint(-e, e) for _ in range(n)]
+            if free or sum(a * b for a, b in zip(w, col)) % p == 0:
+                cols.append(col)
+        blocks.append(M([[c[k] for c in cols] for k in range(n)]))
+    return ProductHom(tuple(b.cols // 2 for b in blocks), n, tuple(blocks))
+
+
+def test_vsp_matches_subdirectness_on_wide_homs(monkeypatch):
+    """Every factor of a dozen seeded wide homs against the oracle, whose
+    echelon must keep every entry it returns within 128 bits."""
+    echelon, peak = oracle._column_echelon, [0]
+
+    def recording(a):
+        cols = echelon(a)
+        peak[0] = max([peak[0]] + [abs(x).bit_length() for c in cols for x in c])
+        return cols
+
+    monkeypatch.setattr(oracle, "_column_echelon", recording)
+    rng = random.Random(1706)
+    seen, proper_images = set(), 0
+    for shape in ("dense", "index", "mixed") * 4:
+        h = _wide_hom(rng, shape)
+        proper_images += h.normal_form is not h
+        for s in subdirectness(h):
+            idx = oracle.vsp_by_preimage(h, (s.factor,))
+            want = ("InfiniteIndex" if idx is None
+                    else "Exact" if idx == 1 else "FiniteIndex")
+            assert (s.status, s.index) == (want, idx if want == "FiniteIndex" else None)
+            seen.add(s.status)
+    assert seen == {"Exact", "FiniteIndex"} and proper_images >= 4
+    assert peak[0] <= 128
