@@ -4,10 +4,11 @@ Every public function first normalizes its input: a non-surjective map is
 rewritten in coordinates for its image lattice (a free abelian group), which
 leaves the kernel untouched and makes the surjectivity hypotheses of the
 underlying theorems available. The effective rank n' is the rank of the
-concatenated block matrix. The normal form and the Hermite basis of each
-of its blocks are owned by the model (``ProductHom.normal_form`` and
-``block_bases``) and cached on the hom, so one ``analyze`` reduces the
-concatenated matrix and each block once however many phases read them.
+concatenated block matrix. The model caches on the hom each block's Hermite
+basis (``ProductHom.block_bases``), the blocks whose basis is the identity
+(``onto_blocks``) and the normal form, which an onto block decides with no
+further reduction. So one ``analyze`` reduces each raw and each rewritten
+block once, and it hands its subdirectness statuses to the Betti phase.
 
 Index sets in public signatures, witnesses, and JSON output are 1-based.
 """
@@ -95,7 +96,7 @@ class ParityWitness:
 
 def normalize(h: ProductHom) -> tuple[ProductHom, int]:
     """(h', n') with h' = ``h.normal_form``: h rewritten onto its image
-    lattice Z^n', same kernel, cached on h so repeat calls are free."""
+    lattice Z^n' (h itself if a block is onto), same kernel, cached on h."""
     hn = h.normal_form
     return hn, hn.target_rank
 
@@ -136,29 +137,34 @@ def projection_of_kernel(h: ProductHom, t: tuple[int, ...] | list[int]) -> Kerne
 def subdirectness(h: ProductHom) -> tuple[FactorStatus, ...]:
     """Per-factor status of the kernel's projections on abelianizations.
     After normalization im A_i + im A_comp = Z^n', so factor i's projection
-    has index [Z^n' : im A_comp], A_comp the other factors' blocks. Running
-    Hermite bases of the blocks before and after i are merged from each
-    end, so im A_comp costs about 3 reductions of at most 2n' columns and
-    gets the canonical basis that reducing A_comp whole would give."""
+    has index [Z^n' : im A_comp], A_comp the other factors' blocks. An onto
+    block (``ProductHom.onto_blocks``) lies in every A_comp but its own: two
+    make every factor Exact, and one leaves its own factor to one reduction
+    of the other block bases. With none, running Hermite bases of the blocks
+    before and after i are merged from each end. Either way im A_comp gets
+    the canonical basis that reducing A_comp whole would give."""
     h, n_prime = normalize(h)
-    bases = h.block_bases
-    prefix = [IntMatrix.zeros(n_prime, 0)]  # prefix[i] spans blocks 0..i-1
-    for b in bases[:-1]:
-        prefix.append(hnf_basis(hstack([prefix[-1], b])))
-    suffix = [IntMatrix.zeros(n_prime, 0)]  # built right to left, then reversed
-    for b in reversed(bases[1:]):
-        suffix.append(hnf_basis(hstack([b, suffix[-1]])))
-    suffix.reverse()  # suffix[i] spans blocks i+1..r-1
+    bases, onto = h.block_bases, h.onto_blocks
+    comps = {}  # 0-based factor -> basis of im A_comp; a factor not here is Exact
+    if len(onto) == 1:
+        i = onto[0]
+        comps[i] = hnf_basis(hstack(bases[:i] + bases[i + 1:], rows=n_prime))
+    elif not onto:
+        prefix = [IntMatrix.zeros(n_prime, 0)]  # prefix[i] spans blocks 0..i-1
+        for b in bases[:-1]:
+            prefix.append(hnf_basis(hstack([prefix[-1], b])))
+        suffix = [IntMatrix.zeros(n_prime, 0)]  # built right to left, then reversed
+        for b in reversed(bases[1:]):
+            suffix.append(hnf_basis(hstack([b, suffix[-1]])))
+        suffix.reverse()  # suffix[i] spans blocks i+1..r-1
+        for i, (before, after) in enumerate(zip(prefix, suffix)):
+            comps[i] = hnf_basis(hstack([before, after]))
     out = []
-    for i, (before, after) in enumerate(zip(prefix, suffix), start=1):
-        comp = hnf_basis(hstack([before, after]))
-        index = lattice_index(Lattice(n_prime, comp, comp.cols))
-        if index == 1:
-            out.append(FactorStatus(i, EXACT))
-        elif index is not None:
-            out.append(FactorStatus(i, FINITE_INDEX, index))
-        else:
-            out.append(FactorStatus(i, INFINITE_INDEX))
+    for i in range(h.num_factors):
+        comp = comps.get(i)
+        index = 1 if comp is None else lattice_index(Lattice(n_prime, comp, comp.cols))
+        status = EXACT if index == 1 else INFINITE_INDEX if index is None else FINITE_INDEX
+        out.append(FactorStatus(i + 1, status, index if status == FINITE_INDEX else None))
     return tuple(out)
 
 
@@ -231,30 +237,34 @@ def betti_kernel(h: ProductHom) -> tuple[Betti, Certificate | None]:
     """First Betti number of the kernel when one of two sufficient exactness
     conditions holds: (1) rank-one target with exact subdirectness, or
     (2) at least three factors individually surjecting onto the target."""
-    h, n_prime = normalize(h)
+    return _betti(normalize(h)[0], subdirectness(h))
+
+
+def _betti(h: ProductHom,
+           sub: tuple[FactorStatus, ...]) -> tuple[Betti, Certificate | None]:
+    """``betti_kernel`` of a normal form h given ``subdirectness(h)``."""
+    n_prime = h.target_rank
     total = sum(2 * g for g in h.genera)
     if n_prime == 0:
         return Betti("Value", total), Certificate(
             claim=f"b1 = {total}",
             justification="the kernel is the whole product, whose first Betti "
                           "number is the sum of those of the factors")
-    if n_prime == 1 and all(s.status == EXACT for s in subdirectness(h)):
+    if n_prime == 1 and all(s.status == EXACT for s in sub):
         return Betti("Value", total - 1), Certificate(
             claim=f"b1 = {total - 1}",
             justification="the target has rank one and the kernel is subdirect, "
                           "so the five-term exact sequence in homology gives "
                           "b1(kernel) = sum of 2g_i minus the target rank",
             data={"condition": "rank-one subdirect"})
-    full = IntMatrix.identity(n_prime)
-    surjecting = [i + 1 for i, b in enumerate(h.block_bases) if b == full]
-    if len(surjecting) >= 3:
+    if len(h.onto_blocks) >= 3:
         return Betti("Value", total - n_prime), Certificate(
             claim=f"b1 = {total - n_prime}",
             justification="at least three factors individually surject onto the "
                           "target, which forces the homology transgression to "
                           "vanish, so b1(kernel) = sum of 2g_i minus the target rank",
             data={"condition": "three surjecting factors",
-                  "factors": surjecting[:3]})
+                  "factors": [i + 1 for i in h.onto_blocks[:3]]})
     return Betti("UnknownByCriteria"), None
 
 
@@ -538,7 +548,7 @@ def analyze(h: ProductHom, family: FamilySpec | None = None) -> AnalysisReport:
     sub = subdirectness(hn)
     d, witnesses = deficiency_profile(hn)
     fin, fin_certs = finiteness_type(hn)
-    betti, betti_cert = betti_kernel(hn)
+    betti, betti_cert = _betti(hn, sub)
     kahler, kahler_cert = _kahler(h, family, betti)
     irr, irr_cert = irreducibility(hn)
     certs = [full_cert, *fin_certs]

@@ -186,8 +186,12 @@ class ProductHom:
     @cached_property
     def _rewritten(self) -> "ProductHom | None":
         """The normal form, or None for a surjective map: caching the map
-        itself would make a reference cycle that only the collector frees."""
-        image = image_lattice(self.concatenated())
+        itself would make a reference cycle that only the collector frees.
+        An onto block makes the map surjective; otherwise the stacked block
+        bases give the image the canonical basis the blocks themselves would."""
+        if self.onto_blocks:
+            return None
+        image = image_lattice(hstack(self.block_bases, rows=self.target_rank))
         if image.is_full:
             return None
         new_blocks = []
@@ -203,6 +207,12 @@ class ProductHom:
     def block_bases(self) -> tuple[IntMatrix, ...]:
         """Each block's ``hnf_basis``, the canonical basis of its image."""
         return tuple(hnf_basis(b) for b in self.blocks)
+
+    @cached_property
+    def onto_blocks(self) -> tuple[int, ...]:
+        """0-based indices of the blocks onto Z^target_rank (identity basis)."""
+        full = IntMatrix.identity(self.target_rank)
+        return tuple(i for i, b in enumerate(self.block_bases) if b == full)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
                                lattice_intersection, lattice_sum)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
                              make_generic_family)
-from coabelian import model, oracle
+from coabelian import analyzer, model, oracle
 from coabelian.model import ProductHom, build_hom_from_family
 
 
@@ -102,7 +102,7 @@ def test_cached_normal_form_and_bases_make_no_reference_cycle(h):
 
 def _count_reductions(monkeypatch):
     """Record every image lattice the model computes; during ``analyze``
-    these are exactly the normal-form reductions of concatenated matrices."""
+    these are exactly the normal-form reductions of the stacked block bases."""
     calls = []
 
     def counting(a):
@@ -114,10 +114,16 @@ def _count_reductions(monkeypatch):
 
 
 def test_analyze_normalizes_a_surjective_hom_once(monkeypatch):
-    h = build_hom_from_family(GENERIC24)
+    # an onto block shows surjectivity with no reduction; with none, the
+    # stacked block bases are reduced once
+    spec = make_generic_family(1, 3)
+    onto, h = build_hom_from_family(spec), build_hom_from_family(GENERIC24)
     calls = _count_reductions(monkeypatch)
+    analyze(onto, spec)
+    assert calls == [] and onto.onto_blocks == (0, 1, 2)
     analyze(h, GENERIC24)
-    assert calls == [h.concatenated()]
+    assert calls == [hstack(h.block_bases, rows=4)] and h.onto_blocks == ()
+    assert h.normal_form is h and onto.normal_form is onto
 
 
 @pytest.mark.parametrize("h", [
@@ -129,11 +135,13 @@ def test_analyze_normalizes_a_non_surjective_hom_once(monkeypatch, h):
     h = ProductHom(h.genera, h.target_rank, h.blocks)  # a fresh object, nothing cached
     calls = _count_reductions(monkeypatch)
     analyze(h)
-    assert calls == [h.concatenated()]
+    assert calls == [hstack(h.block_bases, rows=h.target_rank)]
+    assert h.onto_blocks == () and h.normal_form is not h
 
 
-@pytest.mark.parametrize("h", [FINITE_INDEX_HOM, build_hom_from_family(GENERIC24)],
-                         ids=["finite-index", "surjective"])
+@pytest.mark.parametrize("h", [FINITE_INDEX_HOM, build_hom_from_family(GENERIC24),
+                               build_hom_from_family(make_generic_family(1, 3))],
+                         ids=["finite-index", "surjective", "onto"])
 def test_analyze_reduces_each_block_once(monkeypatch, h):
     h = ProductHom(h.genera, h.target_rank, h.blocks)  # a fresh object, nothing cached
     calls = []
@@ -144,7 +152,16 @@ def test_analyze_reduces_each_block_once(monkeypatch, h):
 
     monkeypatch.setattr(model, "hnf_basis", counting)
     analyze(h)
-    assert calls == list(h.normal_form.blocks)
+    hn = h.normal_form
+    assert calls == list(h.blocks) + (list(hn.blocks) if hn is not h else [])
+
+
+def test_analyze_decides_subdirectness_once_on_a_rank_one_target(monkeypatch):
+    # the Betti phase reads analyze's statuses instead of deciding them again
+    calls, real = [], analyzer.subdirectness
+    monkeypatch.setattr(analyzer, "subdirectness", lambda h: calls.append(h) or real(h))
+    report = analyze(rank_one_hom((2, 2, 2)))
+    assert len(calls) == 1 and (report.betti.kind, report.betti.value) == ("Value", 11)
 
 
 def test_fullness_always():

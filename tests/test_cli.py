@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
-from coabelian import analyzer, cli, forge
+from coabelian import analyzer, cli, forge, oracle
 from coabelian.cli import main
 from coabelian.model import SchemaError, parse_document, parse_family, parse_hom
 
@@ -41,6 +42,29 @@ def test_analyze_oracle_agrees(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path), "--oracle")
     assert code == 0
     assert "agreed on all tuples" in out
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_analyze_oracle_disagreement_exits_2(tmp_path, capsys, monkeypatch, fmt):
+    # the image has index 4 in Z^2, so the check reads a rewritten normal form
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genera": [2, 2, 2], "target_rank": 2, "blocks": [
+        [2, 0, 1, 0, 0, 0, 2, 0], [0, 2, 0, 0, 0, 0, 0, 0], [4, 0, 0, 1, 0, 0, 0, 2]]}))
+    real, seen = oracle.vsp_by_preimage, []
+
+    def flipped(h, t):
+        seen.append(h)
+        return None if real(h, t) is not None else 1
+
+    monkeypatch.setattr(oracle, "vsp_by_preimage", flipped)
+    code, out, err = run(capsys, "analyze", str(path), "--oracle", *fmt)
+    assert code == 2 and out == ""
+    tuples = [t for size in (1, 2, 3) for t in combinations((1, 2, 3), size)]
+    assert [line.split(": shortcut says ")[0] for line in err.splitlines()] == [
+        f"oracle disagreement: tuple {t}" for t in tuples]
+    raw = parse_hom(path.read_text())
+    assert raw.normal_form != raw and len(seen) == len(tuples)
+    assert all(h == raw.normal_form for h in seen)
 
 
 def test_analyze_missing_file(capsys):

@@ -78,15 +78,18 @@ def _wide_hom(rng, shape):
     and entries up to 10^3. Under "index" every column satisfies
     w . col = 0 (mod p), so the image is a proper finite-index sublattice;
     under "mixed" every block but the first does, so factor 1's projection
-    usually has finite index p."""
+    usually has finite index p; under "flat" every block but the first has
+    a zero last row, so factor 1's projection has infinite index."""
     r, n, e = rng.randint(3, 5), rng.randint(6, 8), rng.choice((100, 300, 1000))
     w, p = [1] + [rng.randint(0, 1) for _ in range(n - 1)], rng.choice((2, 3))
     blocks = []
     for i in range(r):
-        free = shape == "dense" or (shape == "mixed" and i == 0)
+        free = shape in ("dense", "flat") or (shape == "mixed" and i == 0)
         cols, width = [], 2 * rng.randint(3, 6)
         while len(cols) < width:
             col = [rng.randint(-e, e) for _ in range(n)]
+            if shape == "flat" and i > 0:
+                col[-1] = 0
             if free or sum(a * b for a, b in zip(w, col)) % p == 0:
                 cols.append(col)
         blocks.append(M([[c[k] for c in cols] for k in range(n)]))
@@ -94,8 +97,11 @@ def _wide_hom(rng, shape):
 
 
 def test_vsp_matches_subdirectness_on_wide_homs(monkeypatch):
-    """Every factor of a dozen seeded wide homs against the oracle, whose
-    echelon must keep every entry it returns within 128 bits."""
+    """Every factor of sixteen seeded wide homs against the oracle, whose
+    echelon must keep every entry it returns within 128 bits. The homs
+    reach each way ``subdirectness`` decides: no onto block of the normal
+    form, one whose own factor has finite or infinite index, and two or
+    more."""
     echelon, peak = oracle._column_echelon, [0]
 
     def recording(a):
@@ -105,15 +111,38 @@ def test_vsp_matches_subdirectness_on_wide_homs(monkeypatch):
 
     monkeypatch.setattr(oracle, "_column_echelon", recording)
     rng = random.Random(1706)
-    seen, proper_images = set(), 0
-    for shape in ("dense", "index", "mixed") * 4:
+    seen, branches, proper_images = set(), set(), 0
+    for shape in ("dense", "index", "mixed") * 4 + ("flat",) * 4:
         h = _wide_hom(rng, shape)
         proper_images += h.normal_form is not h
-        for s in subdirectness(h):
+        statuses = subdirectness(h)
+        for s in statuses:
             idx = oracle.vsp_by_preimage(h, (s.factor,))
             want = ("InfiniteIndex" if idx is None
                     else "Exact" if idx == 1 else "FiniteIndex")
             assert (s.status, s.index) == (want, idx if want == "FiniteIndex" else None)
             seen.add(s.status)
-    assert seen == {"Exact", "FiniteIndex"} and proper_images >= 4
+        onto = h.normal_form.onto_blocks
+        branches.add(f"one onto, {statuses[onto[0]].status}" if len(onto) == 1
+                     else "two or more onto" if onto else "none onto")
+    assert seen == {"Exact", "FiniteIndex", "InfiniteIndex"} and proper_images >= 4
+    assert branches >= {"none onto", "one onto, FiniteIndex",
+                        "one onto, InfiniteIndex", "two or more onto"}
     assert peak[0] <= 128
+
+
+def test_normal_form_certificate_on_wide_homs():
+    """A seeded wide hom is its own normal form exactly when the columns of
+    all its blocks span Z^n; otherwise the image basis maps each rewritten
+    block back to the raw one."""
+    rng = random.Random(1806)
+    proper_images = 0
+    for shape in ("dense", "index", "mixed", "flat") * 3:
+        h = _wide_hom(rng, shape)
+        image, hn = image_lattice(h.concatenated()), h.normal_form
+        assert (hn is h) == image.is_full
+        if hn is not h:
+            proper_images += 1
+            assert hn.target_rank == image.rank
+            assert [image.basis @ b for b in hn.blocks] == list(h.blocks)
+    assert proper_images >= 3
