@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .intmatrix import IntMatrix, column_components, hnf_basis, hstack, rank
-from .lattice import (Lattice, image_lattice, lattice_index,
-                      lattice_intersection, preimage_lattice)
+from .lattice import Lattice, image_lattice, lattice_index, preimage_lattice
 from .model import DEGENERATE, FamilySpec, ProductHom, build_hom_from_family
 
 EXACT = "Exact"
@@ -83,15 +82,6 @@ class KernelProjection:
     """Abelianized image of the projection of the kernel to the factors in T."""
     lattice: Lattice
     index: int | None  # None means infinite
-
-
-@dataclass(frozen=True)
-class ParityWitness:
-    applicable: bool
-    failing_block: int | None = None
-    lattice: Lattice | None = None
-    index: int | None = None
-    certificate: Certificate | None = None
 
 
 def normalize(h: ProductHom) -> tuple[ProductHom, int]:
@@ -419,78 +409,6 @@ def irreducibility(h: ProductHom) -> tuple[Irreducibility, Certificate | None]:
                       "of factors; a finite-index direct-product decomposition "
                       "would force one of these to fail",
         data={"m": m})
-
-
-def even_betti_witness(h: ProductHom,
-                       partition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-                       ) -> ParityWitness:
-    """Parity certificate from a three-block partition of the factors: when
-    each block's image has full rank, the triple intersection of the image
-    lattices has finite index, and passing to the corresponding finite-index
-    subgroup evens out the first Betti number. No numeric b1 is claimed."""
-    h, n_prime = normalize(h)
-    r = h.num_factors
-    seen = [i for block in partition for i in block]
-    if sorted(seen) != list(range(1, r + 1)):
-        raise ValueError("partition blocks must be disjoint and cover all factors")
-    if n_prime == 0:
-        return ParityWitness(True, lattice=Lattice.full(0), index=1,
-                             certificate=Certificate(
-                                 claim="even first Betti number witness",
-                                 justification="the kernel is the whole product; "
-                                               "its first Betti number is an even "
-                                               "sum of 2g_i"))
-    lats = []
-    for pos, block in enumerate(partition):
-        lat = image_lattice(_stack(h, tuple(i - 1 for i in block)))
-        if lat.rank < n_prime:
-            return ParityWitness(False, failing_block=pos + 1)
-        lats.append(lat)
-    lat = lattice_intersection(lattice_intersection(lats[0], lats[1]), lats[2])
-    index = lattice_index(lat)
-    assert index is not None  # three full-rank lattices intersect in full rank
-    cert = Certificate(
-        claim="even first Betti number witness",
-        justification="each of the three groups of factors surjects onto a "
-                      "finite-index sublattice, and their common sublattice "
-                      "yields a finite-index subgroup fibering in three "
-                      "independent ways over tori; the first Betti number of "
-                      "that subgroup is even",
-        data={"index": index,
-              "lattice_basis": [list(row) for row in lat.basis.data]})
-    return ParityWitness(True, lattice=lat, index=index, certificate=cert)
-
-
-def three_factor_classify(h: ProductHom) -> tuple[str, Certificate]:
-    """Classification labels for maps from a product of exactly three
-    surface groups."""
-    if h.num_factors != 3:
-        raise ValueError("classification requires exactly three factors")
-    h, n_prime = normalize(h)
-    if n_prime == 0:
-        return "WholeProduct", Certificate(
-            claim="kernel is the whole product",
-            justification="the map is trivial")
-    split, _ = splitting_search(h)
-    if split.kind == "Reducible":
-        return "VirtuallyProduct", Certificate(
-            claim="kernel is a direct product across a bipartition",
-            justification="the images of the two groups of blocks are "
-                          "complementary sublattices",
-            data={"partition": [list(p) for p in (split.partition or ())]})
-    if n_prime % 2 == 1:
-        return "OddRankObstruction", Certificate(
-            claim="coabelian of odd rank, hence not Kaehler",
-            justification="the classification of subgroups of products of three "
-                          "surface groups leaves only the coabelian cases, and "
-                          "odd rank obstructs Kaehlerness",
-            data={"effective_rank": n_prime})
-    return "VirtuallyCoabelianEvenRank", Certificate(
-        claim="virtually coabelian of even rank",
-        justification="the classification of subgroups of products of three "
-                      "surface groups places irreducible coabelian kernels of "
-                      "even rank in this case",
-        data={"effective_rank": n_prime})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ inspects the nonnegative part of the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .model import (DEGENERATE, DPS, EXTENDED, GENERIC, CoverData, FamilySpec,
@@ -22,17 +21,6 @@ from .model import (DEGENERATE, DPS, EXTENDED, GENERIC, CoverData, FamilySpec,
 _NORM_BOUND = 64
 # a family document lists every cover coefficient, so its size grows with g
 _MAX_GENUS = 1000
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Optional prescribed prefix for greedy vector generation.
-
-    The prefix is validated against the relevant admissibility predicate,
-    never repaired.
-    """
-
-    seed_vectors: tuple[tuple[int, ...], ...] = ()
 
 
 def _nonneg_candidates(k: int):
@@ -55,14 +43,15 @@ def _greedy_extend(k: int, prefix: list[tuple[int, ...]],
     return out
 
 
-def generate_P_prime(k: int, r: int, cfg: GeneratorConfig | None = None) -> VectorSet:
+def generate_P_prime(k: int, r: int,
+                     seed: tuple[tuple[int, ...], ...] = ()) -> VectorSet:
     """Greedy deterministic vector set with standard-basis prefix satisfying
-    property P' (every k-subset linearly independent). A configured seed
-    prefix is validated, then completed."""
+    property P' (every k-subset linearly independent). A seed prefix is
+    validated against property P, never repaired, then completed."""
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
     basis = standard_basis(k)
-    prefix = list(cfg.seed_vectors) if cfg else []
+    prefix = list(seed)
     if prefix[:k] != basis[:len(prefix)]:
         raise ValueError("seed prefix must start with the standard basis")
     prefix += basis[len(prefix):]
@@ -93,7 +82,6 @@ def _check_genera(genera, r: int) -> tuple[int, ...]:
 
 
 def make_generic_family(k: int, r: int, genera=None,
-                        cfg: GeneratorConfig | None = None,
                         subdirect_variant: bool = False) -> FamilySpec:
     """Family with a property-P' vector configuration; the first k covers are
     asserted surjective on fundamental groups. With the subdirect variant the
@@ -102,9 +90,8 @@ def make_generic_family(k: int, r: int, genera=None,
     if not 1 <= k <= r - 2:
         raise ValueError("need 1 <= k <= r-2")
     genera = _check_genera(genera, r)
-    if subdirect_variant and not (cfg and cfg.seed_vectors):
-        cfg = GeneratorConfig(seed_vectors=tuple(standard_basis(k)) + ((1,) * k,))
-    vs = generate_P_prime(k, r, cfg)
+    seed = (*standard_basis(k), (1,) * k) if subdirect_variant else ()
+    vs = generate_P_prime(k, r, seed)
     flagged = set(range(k))
     if subdirect_variant:
         flagged.add(k)

@@ -331,9 +331,5 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         rank=k)
 
 
-def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(a).diag
-
-
 def is_unimodular(a: IntMatrix) -> bool:
     return a.rows == a.cols and det(a) in (1, -1)

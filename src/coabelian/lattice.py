@@ -38,10 +38,6 @@ class Lattice:
     def full(cls, n: int) -> "Lattice":
         return cls(n, IntMatrix.identity(n), n)
 
-    @classmethod
-    def zero(cls, n: int) -> "Lattice":
-        return cls(n, IntMatrix.zeros(n, 0), 0)
-
     @property
     def is_full(self) -> bool:
         return self.rank == self.ambient_rank and self.basis == IntMatrix.identity(self.ambient_rank)
@@ -77,12 +73,6 @@ def lattice_index(lat: Lattice) -> int | None:
     for j in range(lat.ambient_rank):
         idx *= lat.basis.data[j][j]
     return idx
-
-
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    if l1.ambient_rank != l2.ambient_rank:
-        raise AmbientMismatchError("lattice sum needs equal ambient ranks")
-    return Lattice.from_generators(l1.ambient_rank, hstack([l1.basis, l2.basis]))
 
 
 def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
@@ -131,7 +121,3 @@ def solve_in_basis(lat: Lattice, v: tuple[int, ...]) -> tuple[int, ...] | None:
     if any(residual):
         return None
     return tuple(coeffs)
-
-
-def contains(lat: Lattice, v: tuple[int, ...]) -> bool:
-    return solve_in_basis(lat, tuple(int(x) for x in v)) is not None

@@ -55,12 +55,6 @@ class VectorSet:
             if len(v) != self.dim:
                 raise ValueError("vector length does not match dimension")
 
-    def matrix(self) -> IntMatrix:
-        """The dim x r matrix whose columns are the vectors."""
-        return IntMatrix.from_rows(
-            [[v[i] for v in self.vectors] for i in range(self.dim)],
-            cols=len(self.vectors))
-
 
 def standard_basis(k: int) -> list[tuple[int, ...]]:
     """The unit vectors of Z^k, in order."""
@@ -234,6 +228,8 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
         if len(self.vector_set.vectors) != self.r or self.vector_set.dim != self.k:
             raise ValueError("vector set shape inconsistent with (k, r)")
         if len(self.covers) != self.r:
@@ -299,15 +295,6 @@ def build_hom_from_family(spec: FamilySpec) -> ProductHom:
                    for v, cover in zip(vs.vectors, spec.covers))
     genera = tuple(cover.genus for cover in spec.covers)
     return ProductHom(genera=genera, target_rank=2 * spec.k, blocks=blocks)
-
-
-def torus_map_degree(b: IntMatrix) -> int | None:
-    """Covering degree (as a lattice index) of the torus endomorphism induced
-    by a square integer matrix; None when the matrix is not square invertible."""
-    if b.rows != b.cols:
-        return None
-    d = det(b)
-    return abs(d) if d else None
 
 
 # --- serialization -----------------------------------------------------------

@@ -170,17 +170,22 @@ def _det_by_cofactors(m: list[list[int]]) -> int:
     return total
 
 
-def index_by_residue_count_raw(ambient: int, cols: list[list[int]]) -> int:
-    """Count residue classes of Z^ambient modulo the span of the columns.
+def index_by_residue_count(lat: Lattice) -> int:
+    """Index of a full-rank lattice by counting residue classes of
+    Z^ambient modulo the span of its basis columns (oracle for the
+    triangular-determinant shortcut).
 
-    Requires full rank. Picks ambient columns with nonzero determinant d,
-    then closes the subgroup generated by all columns inside (Z/d)^ambient
-    by breadth-first search; the index is d^ambient / |subgroup|.
+    Picks ambient columns with nonzero determinant d, then closes the
+    subgroup generated by all columns inside (Z/d)^ambient by breadth-first
+    search; the index is d^ambient / |subgroup|.
     """
+    ambient = lat.ambient_rank
     if ambient > AMBIENT_BOUND:
         raise OracleBoundExceeded(f"ambient rank {ambient} > {AMBIENT_BOUND}")
     if ambient == 0:
         return 1
+    cols = [[lat.basis.data[i][j] for i in range(ambient)]
+            for j in range(lat.basis.cols)]
     d = 0
     for subset in combinations(range(len(cols)), ambient):
         square = [[cols[j][i] for j in subset] for i in range(ambient)]
@@ -208,11 +213,3 @@ def index_by_residue_count_raw(ambient: int, cols: list[list[int]]) -> int:
     if index > INDEX_BOUND:
         raise OracleBoundExceeded(f"index {index} > {INDEX_BOUND}")
     return index
-
-
-def index_by_residue_count(lat: Lattice) -> int:
-    """Index of a full-rank lattice by residue counting (oracle for the
-    triangular-determinant shortcut)."""
-    cols = [[lat.basis.data[i][j] for i in range(lat.ambient_rank)]
-            for j in range(lat.basis.cols)]
-    return index_by_residue_count_raw(lat.ambient_rank, cols)

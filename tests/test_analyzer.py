@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coabelian.analyzer import (_first_split, analyze, betti_kernel,
-                                deficiency_profile, even_betti_witness,
-                                finiteness_type, fullness,
+                                deficiency_profile, finiteness_type, fullness,
                                 irreducibility, kahler_verdict, normalize,
                                 projection_of_kernel, splitting_search,
-                                subdirectness, three_factor_classify)
+                                subdirectness)
 from coabelian.intmatrix import IntMatrix, hnf_basis, hstack, rank
 from coabelian.lattice import (Lattice, image_lattice, kernel_lattice,
-                               lattice_intersection, lattice_sum)
+                               lattice_intersection)
 from coabelian.forge import (make_degenerate_family, make_extended_family,
                              make_generic_family)
 from coabelian import analyzer, model, oracle
@@ -489,7 +488,8 @@ def _lattice_split(h):
     for left, right in oracle.bipartitions(h.num_factors):
         im_l, im_r = (image_lattice(hstack([h.blocks[i] for i in side], rows=n))
                       for side in (left, right))
-        assert lattice_sum(im_l, im_r) == Lattice.full(n)  # by normalization
+        # the two images sum to the whole target, by normalization
+        assert image_lattice(hstack([im_l.basis, im_r.basis])) == Lattice.full(n)
         if lattice_intersection(im_l, im_r).rank == 0:
             return tuple(i + 1 for i in left), tuple(i + 1 for i in right)
     return None
@@ -563,39 +563,6 @@ def test_irreducibility_unknown_when_tuple_check_passes():
     h = build_hom_from_family(make_degenerate_family(2, 6, (3, 1, 1, 1)))
     verdict, _ = irreducibility(h)
     assert verdict.kind == "Unknown"
-
-
-def test_even_betti_witness_generic_16():
-    h = build_hom_from_family(make_generic_family(1, 6))
-    w = even_betti_witness(h, ((1, 2), (3, 4), (5, 6)))
-    assert w.applicable
-    assert w.index is not None
-    assert w.certificate is not None
-
-
-def test_even_betti_witness_not_applicable():
-    h = build_hom_from_family(make_extended_family(2, 5))
-    # block {1,2} repeats the same vector: rank 2 < 4
-    w = even_betti_witness(h, ((1, 2), (3,), (4, 5)))
-    assert not w.applicable and w.failing_block == 1
-
-
-def test_even_betti_witness_partition_validation():
-    h = build_hom_from_family(GENERIC24)
-    with pytest.raises(ValueError):
-        even_betti_witness(h, ((1, 2), (2, 3), (4,)))
-
-
-def test_three_factor_classify():
-    assert three_factor_classify(
-        build_hom_from_family(make_generic_family(1, 3)))[0] == \
-        "VirtuallyCoabelianEvenRank"
-    assert three_factor_classify(rank_one_hom((2, 2, 2)))[0] == \
-        "OddRankObstruction"
-    h0 = ProductHom((2, 2, 2), 0, tuple(IntMatrix.zeros(0, 4) for _ in range(3)))
-    assert three_factor_classify(h0)[0] == "WholeProduct"
-    with pytest.raises(ValueError):
-        three_factor_classify(build_hom_from_family(GENERIC24))
 
 
 def test_report_json_shape():

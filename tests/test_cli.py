@@ -91,6 +91,24 @@ def test_generate_bad_ranges(capsys):
                          "--genera", "1000000000,2,2,2")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "genus in 2..1000" in err and len(err) < 200
+    # each kind names the parameter it cannot do without
+    for argv, missing in [(("generic", "-r", "4"), "-k"),
+                          (("extended", "-r", "5"), "-m"),
+                          (("degenerate", "-k", "2", "-r", "5"), "--profile"),
+                          (("degenerate", "-r", "5", "--profile", "3,1,1"), "-k")]:
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {argv[0]} family requires {missing}\n"  # one short line
+
+
+def test_analyze_text_names_the_split(tmp_path, capsys):
+    # factor 1 maps onto the first coordinate, factors 2 and 3 onto the second
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genera": [2, 2, 2], "target_rank": 2, "blocks": [
+        [1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]]}))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "irreducibility: Reducible across 1|2,3" in out.splitlines()
 
 
 @pytest.mark.parametrize("option,value", [("--genera", "9" * 5000 + ",2,2,2"),

@@ -1,8 +1,7 @@
 import pytest
 
-from coabelian.forge import (GeneratorConfig, generate_P_prime,
-                             make_degenerate_family, make_extended_family,
-                             make_generic_family)
+from coabelian.forge import (generate_P_prime, make_degenerate_family,
+                             make_extended_family, make_generic_family)
 from coabelian.model import (check_property_P_prime, serialize_family)
 
 
@@ -26,20 +25,17 @@ def test_determinism():
 
 
 def test_seed_prefix_validated_not_repaired():
-    cfg = GeneratorConfig(seed_vectors=((1, 0), (0, 1), (1, 0)))  # repeat
     with pytest.raises(ValueError, match="violates property P"):
-        generate_P_prime(2, 5, cfg)
-    cfg = GeneratorConfig(seed_vectors=((2, 1),))  # wrong start
+        generate_P_prime(2, 5, ((1, 0), (0, 1), (1, 0)))  # repeat
     with pytest.raises(ValueError, match="standard basis"):
-        generate_P_prime(2, 5, cfg)
+        generate_P_prime(2, 5, ((2, 1),))  # wrong start
     # k = 1 seeds go through the same check
     with pytest.raises(ValueError, match="standard basis"):
-        generate_P_prime(1, 3, GeneratorConfig(seed_vectors=((2,),)))
+        generate_P_prime(1, 3, ((2,),))
 
 
 def test_seed_prefix_extended():
-    cfg = GeneratorConfig(seed_vectors=((1, 0), (0, 1), (2, 1)))
-    vs = generate_P_prime(2, 5, cfg)
+    vs = generate_P_prime(2, 5, ((1, 0), (0, 1), (2, 1)))
     assert vs.vectors[:3] == ((1, 0), (0, 1), (2, 1))
     assert check_property_P_prime(vs)
 

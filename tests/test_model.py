@@ -8,7 +8,7 @@ from coabelian.model import (CoverData, FamilySpec, ProductHom,
                              build_hom_from_family, check_property_P,
                              check_property_P_prime, default_cover_block,
                              parse_family, parse_hom, serialize_family,
-                             serialize_hom, torus_map_degree)
+                             serialize_hom)
 from coabelian.forge import make_extended_family, make_generic_family
 
 
@@ -83,12 +83,6 @@ def test_block_expansion():
     assert h.blocks[2].data[2:] == cover.data
 
 
-def test_torus_map_degree():
-    assert torus_map_degree(IntMatrix.from_rows([[2, 0], [0, 3]], cols=2)) == 6
-    assert torus_map_degree(IntMatrix.from_rows([[1, 2], [2, 4]], cols=2)) is None
-    assert torus_map_degree(IntMatrix.zeros(2, 3)) is None
-
-
 def test_hom_round_trip():
     spec = make_generic_family(2, 4)
     h = build_hom_from_family(spec)
@@ -128,3 +122,10 @@ def test_schema_errors():
     doc["covers"][0]["genus"] = -1
     with pytest.raises(SchemaError, match=r"^covers\[0\]\.genus: must be at least 2$"):
         parse_family(json.dumps(doc))
+    # a target parameter k < 1 is refused by name, not by a later check
+    with pytest.raises(SchemaError, match=r"^k must be at least 1$"):
+        parse_family('{"kind": "generic", "k": -1, "r": 0, "vectors": [], "covers": []}')
+    cover = {"genus": 2, "block": [1, 0, 1, 0, 0, 1, 0, 1], "pi1_surjective": True}
+    with pytest.raises(SchemaError, match=r"^k must be at least 1$"):
+        parse_family(json.dumps({"kind": "generic", "k": 0, "r": 2,
+                                 "vectors": [[], []], "covers": [cover, cover]}))
