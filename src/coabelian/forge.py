@@ -13,8 +13,8 @@ from __future__ import annotations
 from itertools import product
 
 from .model import (DEGENERATE, DPS, EXTENDED, GENERIC, CoverData, FamilySpec,
-                    VectorSet, check_property_P_prime, first_dependent,
-                    independent_of_prefix, standard_basis)
+                    VectorSet, check_family_range, check_property_P_prime,
+                    first_dependent, independent_of_prefix, standard_basis)
 
 # safety bound on the max-norm of greedily chosen vectors; generously above
 # anything the supported parameter ranges require
@@ -87,8 +87,7 @@ def make_generic_family(k: int, r: int, genera=None,
     asserted surjective on fundamental groups. With the subdirect variant the
     (k+1)-st vector is the sum of the basis vectors and its cover is flagged
     too, which makes the kernel subdirect on every factor."""
-    if not 1 <= k <= r - 2:
-        raise ValueError("need 1 <= k <= r-2")
+    check_family_range(GENERIC, k, r)  # dps, the k = 1 case, has the same range
     genera = _check_genera(genera, r)
     seed = (*standard_basis(k), (1,) * k) if subdirect_variant else ()
     vs = generate_P_prime(k, r, seed)
@@ -104,8 +103,7 @@ def make_extended_family(m: int, r: int, genera=None,
     """Family over Z^4 whose first vector is repeated m times; the remaining
     vectors are pairwise linearly independent. Covers m and m+1 are asserted
     surjective on fundamental groups."""
-    if r < 4 or m < 1 or r - m < 3:
-        raise ValueError("need r >= 4, m >= 1, r-m >= 3")
+    check_family_range(EXTENDED, 2, r, m)
     genera = _check_genera(genera, r)
     second = (1, 1) if subdirect_variant else (0, 1)
     prefix = [(1, 0)] * m + [second]

@@ -150,12 +150,12 @@ class ProductHom:
     blocks: tuple[IntMatrix, ...]
 
     def __post_init__(self) -> None:
-        if len(self.genera) < 1:
-            raise ValueError("need at least one factor")
+        if len(self.blocks) != len(self.genera):
+            raise ValueError("blocks: need exactly one block per genus")
+        if not self.genera:
+            raise ValueError("genera: need at least one factor")
         if self.target_rank < 0:
             raise ValueError("target rank must be nonnegative")
-        if len(self.blocks) != len(self.genera):
-            raise ValueError("one block per factor required")
         for g, b in zip(self.genera, self.blocks):
             if g < 2:
                 raise ValueError("every genus must be at least 2")
@@ -209,6 +209,24 @@ class ProductHom:
         return tuple(i for i, b in enumerate(self.block_bases) if b == full)
 
 
+def check_family_range(kind, k: int, r: int, m: int | None = None) -> None:
+    """The one home of the family parameter ranges. Generic has type F_(r-k),
+    so the paper's 2 <= type <= r-1 needs k <= r-2; dps is its k = 1 case."""
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"kind: expected one of {FAMILY_KINDS}, got {repr(kind)[:20]}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if kind == DPS and k != 1:
+        raise ValueError("dps family needs k=1, r>=3")
+    if kind in (GENERIC, DPS) and k > r - 2:
+        raise ValueError("need 1 <= k <= r-2")
+    if kind == EXTENDED:
+        if m is None:
+            raise ValueError("extended family requires m")
+        if k != 2 or m < 1 or r - m < 3:  # so r >= 4
+            raise ValueError("extended family needs k=2, r>=4, m>=1, r-m>=3")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters for one of the constructive example families.
@@ -226,21 +244,13 @@ class FamilySpec:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if len(self.vector_set.vectors) != self.r or self.vector_set.dim != self.k:
-            raise ValueError("vector set shape inconsistent with (k, r)")
+        check_family_range(self.kind, self.k, self.r, self.m)
+        if self.vector_set.dim != self.k:
+            raise ValueError("vector set dimension must equal k")
+        if len(self.vector_set.vectors) != self.r:
+            raise ValueError("vectors: expected a list with one vector per factor")
         if len(self.covers) != self.r:
-            raise ValueError("one cover per factor required")
-        if self.kind == EXTENDED:
-            if self.m is None:
-                raise ValueError("extended family requires m")
-            if self.k != 2 or self.r < 4 or self.m < 1 or self.r - self.m < 3:
-                raise ValueError("extended family needs k=2, r>=4, m>=1, r-m>=3")
-        if self.kind == DPS and (self.k != 1 or self.r < 3):
-            raise ValueError("dps family needs k=1, r>=3")
+            raise ValueError("covers: expected a list with one cover per factor")
 
 
 def _expand_block(v: tuple[int, ...], cover_block: IntMatrix) -> IntMatrix:
@@ -327,10 +337,14 @@ def _load_json(text: str):
         raise SchemaError("invalid JSON: an integer literal has too many digits") from None
 
 
-def _decode_int_list(xs, where: str) -> list[int]:
+def _decode_list(xs, where: str) -> list:
     if not isinstance(xs, list):
         raise SchemaError(f"{where}: expected a list")
-    return [_decode_int(x, f"{where}[{i}]") for i, x in enumerate(xs)]
+    return xs
+
+
+def _decode_int_list(xs, where: str) -> list[int]:
+    return [_decode_int(x, f"{where}[{i}]") for i, x in enumerate(_decode_list(xs, where))]
 
 
 def hom_to_dict(h: ProductHom) -> dict:
@@ -355,14 +369,8 @@ def hom_from_dict(doc: dict) -> ProductHom:
     n = _decode_int(doc["target_rank"], "target_rank")
     if n < 0:
         raise SchemaError("target_rank: must be nonnegative")
-    raw_blocks = doc["blocks"]
-    if not isinstance(raw_blocks, list):
-        raise SchemaError("blocks: expected a list")
-    if len(raw_blocks) != len(genera):
-        raise SchemaError("blocks: need exactly one block per genus")
-    if not genera:
-        raise SchemaError("genera: need at least one factor")
-    blocks = []
+    raw_blocks = _decode_list(doc["blocks"], "blocks")
+    blocks = [None] * len(raw_blocks)  # None without a genus: ProductHom refuses it
     for i, (g, entries) in enumerate(zip(genera, raw_blocks)):
         flat = _decode_int_list(entries, f"blocks[{i}]")
         if g < 2:
@@ -370,8 +378,8 @@ def hom_from_dict(doc: dict) -> ProductHom:
         if len(flat) != n * 2 * g:
             raise SchemaError(
                 f"blocks[{i}]: expected {n * 2 * g} entries, got {len(flat)}")
-        blocks.append(IntMatrix.from_rows(
-            [flat[row * 2 * g:(row + 1) * 2 * g] for row in range(n)], cols=2 * g))
+        blocks[i] = IntMatrix.from_rows(
+            [flat[row * 2 * g:(row + 1) * 2 * g] for row in range(n)], cols=2 * g)
     try:
         return ProductHom(tuple(genera), n, tuple(blocks))
     except ValueError as exc:
@@ -412,19 +420,12 @@ def family_from_dict(doc: dict) -> FamilySpec:
     for key in ("kind", "k", "r", "vectors", "covers"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    kind = doc["kind"]
-    if kind not in FAMILY_KINDS:
-        raise SchemaError(f"kind: expected one of {FAMILY_KINDS}, got {repr(kind)[:20]}")
     k = _decode_int(doc["k"], "k")
     r = _decode_int(doc["r"], "r")
-    if not isinstance(doc["vectors"], list) or len(doc["vectors"]) != r:
-        raise SchemaError("vectors: expected a list with one vector per factor")
     vectors = tuple(tuple(_decode_int_list(v, f"vectors[{i}]"))
-                    for i, v in enumerate(doc["vectors"]))
-    if not isinstance(doc["covers"], list) or len(doc["covers"]) != r:
-        raise SchemaError("covers: expected a list with one cover per factor")
+                    for i, v in enumerate(_decode_list(doc["vectors"], "vectors")))
     covers = []
-    for i, c in enumerate(doc["covers"]):
+    for i, c in enumerate(_decode_list(doc["covers"], "covers")):
         if not isinstance(c, dict):
             raise SchemaError(f"covers[{i}]: expected an object")
         genus = _decode_int(c.get("genus"), f"covers[{i}].genus")
@@ -443,7 +444,7 @@ def family_from_dict(doc: dict) -> FamilySpec:
             raise SchemaError(f"covers[{i}]: {exc}") from None
     m = _decode_int(doc["m"], "m") if "m" in doc else None
     try:
-        return FamilySpec(kind=kind, k=k, r=r,
+        return FamilySpec(kind=doc["kind"], k=k, r=r,
                           vector_set=VectorSet(k, vectors),
                           covers=tuple(covers), m=m)
     except ValueError as exc:

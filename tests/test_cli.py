@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 from coabelian import analyzer, cli, forge, oracle
 from coabelian.cli import main
-from coabelian.model import SchemaError, parse_document, parse_family, parse_hom
+from coabelian.model import (SchemaError, family_to_dict, parse_document, parse_family,
+                             parse_hom)
 
 
 def run(capsys, *argv):
@@ -269,3 +271,144 @@ def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "not UTF-8" in err and len(err) < 200
+
+
+_DROP = object()
+_HOM_DOC = {"genera": [2, 2], "target_rank": 1, "blocks": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+_GENERIC = family_to_dict(forge.make_generic_family(2, 4))  # flags T, T, F, F
+_EXTENDED = family_to_dict(forge.make_extended_family(2, 5))  # flags F, T, T, F, F
+_DEGENERATE = family_to_dict(forge.make_degenerate_family(2, 5, (3, 1, 1)))
+_KINDS = "('generic', 'extended', 'dps', 'degenerate')"
+
+# (id, valid document, path to one field, its broken value, the whole message)
+_BROKEN = [
+    ("hom-not-an-object", _HOM_DOC, (), [], "hom document must be a JSON object"),
+    ("genera-not-a-list", _HOM_DOC, ("genera",), 2, "genera: expected a list"),
+    ("genus-not-an-integer", _HOM_DOC, ("genera", 1), 2.5,
+     "genera[1]: expected an integer, got float"),
+    ("genus-not-decimal", _HOM_DOC, ("genera", 1), "two",
+     "genera[1]: not a decimal integer: 'two'"),
+    ("target-rank-negative", _HOM_DOC, ("target_rank",), -1,
+     "target_rank: must be nonnegative"),
+    ("blocks-not-a-list", _HOM_DOC, ("blocks",), {}, "blocks: expected a list"),
+    ("block-missing", _HOM_DOC, ("blocks",), [[1, 0, 0, 0]],
+     "blocks: need exactly one block per genus"),
+    ("block-extra", _HOM_DOC, ("blocks",), [[1, 0, 0, 0]] * 3,
+     "blocks: need exactly one block per genus"),
+    ("no-factors", _HOM_DOC, (), {"genera": [], "target_rank": 1, "blocks": []},
+     "genera: need at least one factor"),
+    ("genus-below-2", _HOM_DOC, ("genera", 0), 1, "genera[0]: genus must be at least 2"),
+    ("block-entry-count", _HOM_DOC, ("blocks", 0), [1, 0, 0],
+     "blocks[0]: expected 4 entries, got 3"),
+    ("family-missing-field", _GENERIC, ("covers",), _DROP, "missing field 'covers'"),
+    ("kind-unknown", _GENERIC, ("kind",), "weird",
+     f"kind: expected one of {_KINDS}, got 'weird'"),
+    ("k-not-decimal", _GENERIC, ("k",), "2.0", "k: not a decimal integer: '2.0'"),
+    ("vectors-not-a-list", _GENERIC, ("vectors",), {}, "vectors: expected a list"),
+    ("vector-length", _GENERIC, ("vectors", 3), [1],
+     "vector length does not match dimension"),
+    ("vector-count", _GENERIC, ("r",), 5,
+     "vectors: expected a list with one vector per factor"),
+    ("covers-not-a-list", _GENERIC, ("covers",), "none", "covers: expected a list"),
+    ("cover-count", _GENERIC, ("covers",), _GENERIC["covers"][:3],
+     "covers: expected a list with one cover per factor"),
+    ("cover-not-an-object", _GENERIC, ("covers", 0), 1, "covers[0]: expected an object"),
+    ("cover-genus", _GENERIC, ("covers", 0, "genus"), 1,
+     "covers[0].genus: must be at least 2"),
+    ("cover-entry-count", _GENERIC, ("covers", 0, "block"), [1, 0],
+     "covers[0].block: expected 8 entries"),
+    ("cover-flag-type", _GENERIC, ("covers", 0, "pi1_surjective"), "yes",
+     "covers[0].pi1_surjective: expected a boolean"),
+    ("cover-rank", _GENERIC, ("covers", 2, "block"), [0] * 8,
+     "covers[2]: cover block must have rank 2 (finite-index homology image)"),
+    ("cover-flag-on-a-sublattice", _GENERIC, ("covers", 0, "block"), [2, 0, 0, 0, 0, 2, 0, 0],
+     "covers[0]: pi1-surjectivity asserted but the homology image is a proper sublattice"),
+    ("generic-property-P-prime", _GENERIC, ("vectors", 3), [1, 1],
+     "generic family requires the vector set to satisfy property P' "
+     "(standard-basis prefix, every k-subset independent)"),
+    ("generic-cover-flag", _GENERIC, ("covers", 1, "pi1_surjective"), False,
+     "generic family requires cover 2 to be asserted surjective on fundamental groups"),
+    ("extended-without-m", _EXTENDED, ("m",), _DROP, "extended family requires m"),
+    ("extended-m-range", _EXTENDED, ("m",), 3,
+     "extended family needs k=2, r>=4, m>=1, r-m>=3"),
+    ("extended-first-vectors-differ", _EXTENDED, ("vectors", 1), [2, 0],
+     "extended family requires the first m vectors to coincide"),
+    ("extended-independence", _EXTENDED, ("vectors", 3), [0, 2],
+     "extended family requires vectors 2..5 to be pairwise linearly independent; "
+     "vector 4 depends on an earlier one"),
+    ("extended-cover-flag", _EXTENDED, ("covers", 2, "pi1_surjective"), False,
+     "extended family requires cover 3 to be asserted surjective on fundamental groups"),
+    ("degenerate-zero-vector", _DEGENERATE, ("vectors", 4), [0, 0], "vector 5 is zero"),
+]
+
+
+@pytest.mark.parametrize("base, field, value, message",
+                         [case[1:] for case in _BROKEN], ids=[case[0] for case in _BROKEN])
+def test_document_with_one_broken_field_is_an_input_error(tmp_path, capsys,
+                                                          base, field, value, message):
+    doc = copy.deepcopy(base)
+    if not field:
+        doc = value
+    else:
+        *parents, last = field
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {message}\n" and len(err.encode()) < 200
+
+
+def test_analyze_refuses_a_generic_family_cut_below_r_k_plus_2(tmp_path, capsys):
+    # cut to r = 2 it reads NotFinitelyGenerated, to r = 3 ExactType(1): no
+    # Kaehler group is either, so the document must not reach the analyzer
+    path = tmp_path / "d.json"
+    for r in (2, 3):
+        path.write_text(json.dumps(dict(_GENERIC, r=r, vectors=_GENERIC["vectors"][:r],
+                                        covers=_GENERIC["covers"][:r])))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: need 1 <= k <= r-2\n" and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("max_r", ["2", "9"])
+def test_catalog_max_r_outside_the_cap_is_an_input_error(tmp_path, capsys, max_r):
+    code, out, err = run(capsys, "catalog", "--max-r", max_r, "--out-dir", str(tmp_path / "c"))
+    assert code == 1 and out == ""
+    assert err == "error: --max-r must be in 3..8\n"
+    assert not (tmp_path / "c").exists()
+
+
+def _withhold_kahler_from_dps(monkeypatch):
+    real = analyzer._family_provenance
+    monkeypatch.setattr(analyzer, "_family_provenance",
+                        lambda h, family: family is not None and family.kind != "dps"
+                        and real(h, family))
+
+
+def _withhold_irreducible_from_dps(monkeypatch):
+    real = analyzer.irreducibility
+    # the dps families are the only ones of effective rank 2
+    monkeypatch.setattr(analyzer, "irreducibility",
+                        lambda h: (analyzer.Irreducibility("Unknown"), None)
+                        if analyzer.normalize(h)[1] == 2 else real(h))
+
+
+@pytest.mark.parametrize("withhold", [_withhold_kahler_from_dps,
+                                      _withhold_irreducible_from_dps],
+                         ids=["kahler-certificate", "irreducibility"])
+def test_verify_fails_when_the_dps_families_lose_a_verdict(capsys, monkeypatch, withhold):
+    # dps (generic k = 1) gives the only families of type F_(r-1), so each
+    # per-r row must fail, and every other row still pass
+    withhold(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--max-r", "4")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  r={r}: every exact type in 2..{r - 1} realized by a family certified "
+        "Kaehler and Irreducible" for r in (3, 4)]

@@ -34,6 +34,18 @@ def test_seed_prefix_validated_not_repaired():
         generate_P_prime(1, 3, ((2,),))
 
 
+@pytest.mark.parametrize("k, r, seed, message", [
+    (3, 2, (), "need 1 <= k <= r"),
+    (0, 2, (), "need 1 <= k <= r"),
+    (2, 5, ((1, 0), (0, 1), (1, 1, 1)), "seed vector of wrong dimension"),
+    (2, 3, ((1, 0), (0, 1), (1, 1), (1, 2)), "seed prefix longer than r"),
+], ids=["k-above-r", "k-below-1", "seed-dimension", "seed-too-long"])
+def test_generator_bounds(k, r, seed, message):
+    with pytest.raises(ValueError) as info:
+        generate_P_prime(k, r, seed)
+    assert str(info.value) == message
+
+
 def test_seed_prefix_extended():
     vs = generate_P_prime(2, 5, ((1, 0), (0, 1), (2, 1)))
     assert vs.vectors[:3] == ((1, 0), (0, 1), (2, 1))
@@ -41,9 +53,10 @@ def test_seed_prefix_extended():
 
 
 def test_generic_ranges():
-    with pytest.raises(ValueError):
-        make_generic_family(3, 4)  # k > r-2
-    with pytest.raises(ValueError):
+    # the range is model.check_family_range's, the one FamilySpec applies
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= r-2$"):
+        make_generic_family(3, 4)
+    with pytest.raises(ValueError, match=r"^k must be at least 1$"):
         make_generic_family(0, 4)
     with pytest.raises(ValueError):
         make_generic_family(1, 3, genera=(2, 1, 2))
@@ -76,9 +89,10 @@ def test_extended_shapes():
 
 
 def test_extended_ranges():
-    with pytest.raises(ValueError):
+    message = r"^extended family needs k=2, r>=4, m>=1, r-m>=3$"
+    with pytest.raises(ValueError, match=message):
         make_extended_family(2, 4)  # r - m < 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         make_extended_family(0, 5)
 
 

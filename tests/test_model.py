@@ -7,8 +7,8 @@ from coabelian.model import (CoverData, FamilySpec, ProductHom,
                              PropertyNotApplicable, SchemaError, VectorSet,
                              build_hom_from_family, check_property_P,
                              check_property_P_prime, default_cover_block,
-                             parse_family, parse_hom, serialize_family,
-                             serialize_hom)
+                             family_to_dict, parse_family, parse_hom,
+                             serialize_family, serialize_hom)
 from coabelian.forge import make_extended_family, make_generic_family
 
 
@@ -129,3 +129,35 @@ def test_schema_errors():
     with pytest.raises(SchemaError, match=r"^k must be at least 1$"):
         parse_family(json.dumps({"kind": "generic", "k": 0, "r": 2,
                                  "vectors": [[], []], "covers": [cover, cover]}))
+    # the generic family's range 2 <= type <= r-1 needs r >= k+2: a k = 2
+    # document cut to r = 2 or 3 is refused, not certified Kaehler
+    doc = family_to_dict(make_generic_family(2, 4))
+    for r in (2, 3):
+        cut = dict(doc, r=r, vectors=doc["vectors"][:r], covers=doc["covers"][:r])
+        with pytest.raises(SchemaError, match=r"^need 1 <= k <= r-2$"):
+            parse_family(json.dumps(cut))
+    with pytest.raises(SchemaError, match=r"^dps family needs k=1, r>=3$"):
+        parse_family(json.dumps(dict(doc, kind="dps")))
+
+
+_VECTORS = VectorSet(2, ((1, 0), (0, 1), (1, 1), (1, 2)))
+_COVERS = (CoverData.default(2, pi1_surjective=True),) * 4
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: CoverData(2, IntMatrix.identity(2)),
+                 "cover block must be 2 x 2*genus", id="cover-block-shape"),
+    pytest.param(lambda: ProductHom((2,), -1, (IntMatrix.zeros(0, 4),)),
+                 "target rank must be nonnegative", id="target-rank"),
+    pytest.param(lambda: FamilySpec("generic", 1, 4, _VECTORS, _COVERS),
+                 "vector set dimension must equal k", id="family-vector-dimension"),
+    pytest.param(lambda: parse_family("[]"),
+                 "family document must be a JSON object", id="family-not-an-object"),
+])
+def test_constructor_refuses_one_broken_field(build, message):
+    """The checks no document reaches: the parsers build these fields
+    well-shaped, or the CLI only hands objects with a 'kind' to
+    ``parse_family``. Library callers still meet them."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
